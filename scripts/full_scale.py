@@ -8,14 +8,13 @@ Example:
 """
 
 import argparse
-import os
 import time
 
 from edgesense import metrics, trace
 from edgesense.cli import parse_seed_list, run_comparison
 from edgesense.core import SimConfig
 from edgesense.policy import POLICY_ORDER
-from edgesense._util import atomic_write_text
+from edgesense._util import write_files
 
 
 def main() -> int:
@@ -33,21 +32,13 @@ def main() -> int:
 
     t0 = time.perf_counter()
     comp = run_comparison(cfg, traces, POLICY_ORDER, seeds, jobs=max(1, args.jobs))
-    print(metrics.render_text(comp), end="")
+    files = metrics.comparison_files(comp)
+    print(files["summary.txt"], end="")
     print(f"{len(POLICY_ORDER) * len(seeds)} runs in {time.perf_counter() - t0:.1f}s")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        outputs = {
-            "summary.txt": metrics.render_text(comp),
-            "summary.json": metrics.render_json(comp),
-            "summary.csv": metrics.render_summary_csv(comp),
-            "per_seed.csv": metrics.render_per_seed_csv(comp),
-            "plot.csv": metrics.render_plot_csv(comp),
-        }
-        for name, text in outputs.items():
-            atomic_write_text(os.path.join(args.out, name), text)
-        print(f"wrote {len(outputs)} files to {args.out}")
+        write_files(args.out, files)
+        print(f"wrote {len(files)} files to {args.out}")
     return 0
 
 

@@ -12,13 +12,9 @@ __version__ = "0.1.0"
 
 from .core import (
     ConfigError,
-    ContextVector,
     Pollutant,
-    SensorNode,
     SimConfig,
-    Zone,
     build_fleet,
-    build_zones,
     load_config,
 )
 from .engine import RunResult, run_simulation
@@ -29,13 +25,9 @@ from .trace import EventSpec, TraceError, TraceSet, generate_synthetic, inject_e
 __all__ = [
     "__version__",
     "ConfigError",
-    "ContextVector",
     "Pollutant",
-    "SensorNode",
     "SimConfig",
-    "Zone",
     "build_fleet",
-    "build_zones",
     "load_config",
     "RunResult",
     "run_simulation",

@@ -24,6 +24,13 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def write_files(directory: str, files: dict[str, str]) -> None:
+    """Create directory if needed and write each file name -> text into it atomically."""
+    os.makedirs(directory, exist_ok=True)
+    for name, text in files.items():
+        atomic_write_text(os.path.join(directory, name), text)
+
+
 def stable_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace drift, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import __version__, core, engine, metrics, trace
-from ._util import atomic_write_text, stable_json
+from ._util import atomic_write_text, stable_json, write_files
 from .core import ConfigError, SimConfig
 from .engine import RunResult, run_simulation, save_run, write_round_log_csv
 from .policy import POLICY_ORDER, PolicyKind
@@ -191,8 +191,6 @@ def _cmd_run(args) -> int:
     run = run_simulation(cfg, traces, policy, seed=seed)
     log.info("run finished in %.2fs", time.perf_counter() - t0)
     print(_run_metrics_text(metrics.compute_run_metrics(run)))
-    if run.clamp_warnings:
-        log.warning("%d feedback values were clamped into [0, 1]", run.clamp_warnings)
     if args.out:
         save_run(run, args.out)
         print(f"wrote {args.out}")
@@ -228,47 +226,12 @@ def _cmd_compare(args) -> int:
     t0 = time.perf_counter()
     comp = run_comparison(cfg, traces, policies, seeds, jobs=max(1, args.jobs))
     log.info("%d runs finished in %.2fs", len(policies) * len(seeds), time.perf_counter() - t0)
-    text = metrics.render_text(comp)
-    print(text, end="")
+    files = metrics.comparison_files(comp)
+    print(files["summary.txt"], end="")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        outputs = {
-            "summary.txt": text,
-            "summary.json": metrics.render_json(comp),
-            "summary.csv": metrics.render_summary_csv(comp),
-            "per_seed.csv": metrics.render_per_seed_csv(comp),
-            "plot.csv": metrics.render_plot_csv(comp),
-        }
-        for name, content in outputs.items():
-            atomic_write_text(os.path.join(args.out, name), content)
-        print(f"wrote {len(outputs)} files to {args.out}")
+        write_files(args.out, files)
+        print(f"wrote {len(files)} files to {args.out}")
     return 0
-
-
-def _comparison_from_dict(d: dict) -> str:
-    # saved summaries re-render from their JSON form without re-simulation
-    lines = []
-    policies = d["policies"]
-    header = ["policy", "energy mAh/day", "detection %", "lifetime d", "energy cut %"]
-    rows = []
-    for p in policies:
-        det = p["detection_rate"]
-        rows.append([
-            p["policy"],
-            f"{p['avg_daily_energy_mAh']:.1f}",
-            "n/a" if det is None else f"{det * 100:.1f}",
-            "inf" if p["lifetime_days"] is None else f"{p['lifetime_days']:.0f}",
-            "baseline" if p["energy_reduction_pct"] in (None, 0.0) and p["policy"] == "static"
-            else ("n/a" if p["energy_reduction_pct"] is None else f"{p['energy_reduction_pct']:+.1f}"),
-        ])
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    lines.append("")
-    lines.append(f"seeds: {', '.join(str(s) for s in d['seeds'])}   trace: {d['trace_hash'][:12]}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_report(args) -> int:
@@ -282,9 +245,9 @@ def _cmd_report(args) -> int:
         if args.format == "json":
             out = stable_json(d)
         elif args.format == "csv":
-            out = _summary_csv_from_dict(d)
+            out = metrics.render_summary_csv(metrics.from_json_dict(d))
         else:
-            out = _comparison_from_dict(d)
+            out = metrics.render_text(metrics.from_json_dict(d))
     elif fmt == engine.RUN_FORMAT:
         run = engine.load_run(path)
         m = metrics.compute_run_metrics(run)
@@ -302,26 +265,6 @@ def _cmd_report(args) -> int:
     else:
         print(out, end="")
     return 0
-
-
-def _summary_csv_from_dict(d: dict) -> str:
-    import csv as _csv
-    import io
-
-    buf = io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
-    w.writerow(["policy", "avg_daily_energy_mAh", "detection_rate", "lifetime_days",
-                "energy_reduction_pct", "detection_delta_pp", "lifetime_extension_pct"])
-    for p in d["policies"]:
-        w.writerow([
-            p["policy"], repr(p["avg_daily_energy_mAh"]),
-            "" if p["detection_rate"] is None else repr(p["detection_rate"]),
-            "" if p["lifetime_days"] is None else int(p["lifetime_days"]),
-            "" if p["energy_reduction_pct"] is None else repr(p["energy_reduction_pct"]),
-            "" if p["detection_delta_pp"] is None else repr(p["detection_delta_pp"]),
-            "" if p["lifetime_extension_pct"] is None else repr(p["lifetime_extension_pct"]),
-        ])
-    return buf.getvalue()
 
 
 _COMMANDS = {

@@ -1,16 +1,16 @@
 """Shared vocabulary for the sensor-network simulator.
 
-Pollutant labels, sensor node and zone records, per-round context
-summaries, and the simulation configuration with its validator live
-here. Everything downstream (trace synthesis, policies, the engine)
-imports these types rather than redefining them.
+Pollutant labels, the simulation configuration with its validator, the
+column-oriented fleet and the deterministic random streams live here.
+Everything downstream (trace synthesis, policies, the engine) imports
+these types rather than redefining them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,58 +39,6 @@ N_POLLUTANTS = len(POLLUTANTS)
 POLLUTANT_INDEX = {p: i for i, p in enumerate(POLLUTANTS)}
 
 MINUTES_PER_DAY = 1440
-
-
-@dataclass
-class SensorNode:
-    """One virtual sensor node.
-
-    energy_cost is the mAh drained by a single activation. utility is the
-    learned usefulness estimate in [0, 1]. mean_reward and pull_count back
-    the bandit bookkeeping; they are untouched by the other policies.
-    """
-
-    node_id: int
-    zone_id: int
-    energy_cost: float
-    battery: float
-    utility: float = 1.0
-    pull_count: int = 0
-    mean_reward: float = 0.0
-
-    @property
-    def alive(self) -> bool:
-        return self.battery > 0.0
-
-
-def drain_battery(node: SensorNode, amount: float) -> None:
-    """Drain amount mAh from the node, clamping at zero. Negative amounts are a bug."""
-    if amount < 0:
-        raise ValueError(f"drain amount must be >= 0, got {amount}")
-    node.battery = max(0.0, node.battery - amount)
-
-
-@dataclass(frozen=True)
-class Zone:
-    zone_id: int
-    node_ids: tuple[int, ...]
-
-
-@dataclass
-class ContextVector:
-    """Per-zone snapshot handed to the coordination layer each round.
-
-    recent_level and trend are arrays indexed like POLLUTANTS and are built
-    from observed (activated) measurements only. energy_summary is the mean
-    remaining battery fraction of the zone's nodes.
-    """
-
-    round_index: int
-    time_of_day_slot: int
-    zone_id: int
-    recent_level: np.ndarray
-    trend: np.ndarray
-    energy_summary: float
 
 
 @dataclass
@@ -275,34 +223,16 @@ def parse_override(item: str) -> tuple[str, object]:
 # --- fleet ----------------------------------------------------------------
 
 
-def build_zones(cfg: SimConfig) -> list[Zone]:
-    """Partition node ids into contiguous zones: zone z owns [z*npz, (z+1)*npz)."""
-    npz = cfg.nodes_per_zone
-    return [
-        Zone(zone_id=z, node_ids=tuple(range(z * npz, (z + 1) * npz)))
-        for z in range(cfg.n_zones)
-    ]
-
-
 @dataclass
 class Fleet:
     """Column-oriented view of the whole fleet; node_id doubles as the row index."""
 
     zone_id: np.ndarray      # int32, n_nodes
     energy_cost: np.ndarray  # float64, n_nodes
-    battery_capacity: float
 
     @property
     def n_nodes(self) -> int:
         return len(self.energy_cost)
-
-    def node(self, node_id: int, battery: float | None = None) -> SensorNode:
-        return SensorNode(
-            node_id=node_id,
-            zone_id=int(self.zone_id[node_id]),
-            energy_cost=float(self.energy_cost[node_id]),
-            battery=self.battery_capacity if battery is None else battery,
-        )
 
 
 def build_fleet(cfg: SimConfig, seed: int | None = None) -> Fleet:
@@ -312,7 +242,7 @@ def build_fleet(cfg: SimConfig, seed: int | None = None) -> Fleet:
     lo, hi = cfg.energy_cost_range
     costs = rng.uniform(lo, hi, size=cfg.n_nodes)
     zone_of = np.repeat(np.arange(cfg.n_zones, dtype=np.int32), cfg.nodes_per_zone)
-    return Fleet(zone_id=zone_of, energy_cost=costs, battery_capacity=cfg.battery_capacity)
+    return Fleet(zone_id=zone_of, energy_cost=costs)
 
 
 # --- deterministic random streams ------------------------------------------

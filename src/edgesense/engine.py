@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hierarchy as hier
 from ._util import atomic_write_text, stable_json
 from .core import (
-    ContextVector,
     Fleet,
     N_POLLUTANTS,
     STREAM_READING,
@@ -37,12 +35,14 @@ from .policy import (
     SelectionResult,
     make_policy_state,
     normalized_payoff,
+    reward,
     select_budgeted,
     select_periodic,
     select_static,
     ucb_scores,
+    update_utility,
 )
-from .trace import EventSpec, TraceSet
+from .trace import EventSpec, TraceError, TraceSet, check_values
 
 log = logging.getLogger("edgesense.engine")
 
@@ -54,20 +54,25 @@ TREND_WINDOW = 8             # rounds of observed history behind the trend slope
 INITIAL_UTILITY = 1.0        # optimistic start so every node gets tried early
 
 
-def sensor_reading(true_value: float, noise_sigma: float, rng: np.random.Generator) -> float:
-    """One noisy measurement: true value scaled by (1 + eps) and floored at
-    zero, eps drawn normal with the configured sigma."""
-    eps = float(rng.normal(0.0, noise_sigma)) if noise_sigma > 0 else 0.0
-    return max(0.0, true_value * (1.0 + eps))
+def sensor_reading(truth, z, noise_sigma: float):
+    """Noisy measurements: the true value scaled by (1 + noise_sigma * z) and
+    floored at zero, z being standard-normal draws. Scalars or arrays."""
+    return np.maximum(0.0, truth * (1.0 + z * noise_sigma))
 
 
-def feedback_proxy(measured: float, baseline: float, baseline_scale: float, k_dev: float = K_DEVIATION) -> float:
-    """Deviation feedback in [0, 1]: how far the measurement sits from the
-    baseline, relative to k_dev times the baseline scale."""
-    if baseline_scale <= 0:
-        raise ValueError(f"baseline_scale must be > 0, got {baseline_scale}")
-    value = abs(measured - baseline) / (k_dev * baseline_scale)
-    return min(1.0, max(0.0, value))
+def feedback_proxy(measured, baseline):
+    """Deviation feedback in [0, 1]: how far a measurement sits from its
+    baseline, relative to K_DEVIATION times the baseline (floored at
+    FEEDBACK_SCALE_FLOOR). Scalars or arrays."""
+    scale = np.maximum(baseline, FEEDBACK_SCALE_FLOOR)
+    return np.clip(np.abs(measured - baseline) / (K_DEVIATION * scale), 0.0, 1.0)
+
+
+def fill_baseline(merged: np.ndarray, current_mean: np.ndarray | None = None) -> np.ndarray:
+    """Baseline per (zone, pollutant) from ObservationState.merged(): where a
+    channel was never sampled, this round's mean if given, else zero."""
+    fallback = 0.0 if current_mean is None else np.where(np.isnan(current_mean), 0.0, current_mean)
+    return np.where(np.isnan(merged), fallback, merged)
 
 
 @dataclass
@@ -99,7 +104,6 @@ class RunResult:
     total_spent: float
     max_budget_violation: float
     n_budgeted_selections: int
-    clamp_warnings: int
     final_utilities: np.ndarray
     final_ucb_means: np.ndarray
     final_ucb_counts: np.ndarray
@@ -122,7 +126,6 @@ class RunResult:
             "total_spent": self.total_spent,
             "max_budget_violation": self.max_budget_violation,
             "n_budgeted_selections": self.n_budgeted_selections,
-            "clamp_warnings": self.clamp_warnings,
             "energy_cost": [float(x) for x in self.energy_cost],
             "zone_of": [int(x) for x in self.zone_of],
             "final_battery": [float(x) for x in self.final_battery],
@@ -180,18 +183,6 @@ class ObservationState:
         window is empty, NaN where the channel was never sampled."""
         return np.divide(self.win_sum, self.win_cnt, out=self.first_obs.copy(), where=self.win_cnt > 0)
 
-    def baseline(self, current_mean: np.ndarray | None = None) -> np.ndarray:
-        """merged() with the remaining NaNs filled from the current round's
-        mean (if given) and finally zero."""
-        out = self.merged()
-        if current_mean is not None:
-            missing = np.isnan(out)
-            out[missing] = current_mean[missing]
-        return np.nan_to_num(out, copy=False, nan=0.0)
-
-    def recent_level(self) -> np.ndarray:
-        return self.baseline(None)
-
     def trend(self, now: int) -> np.ndarray:
         """Slope per (zone, pollutant) over the trend window, zero when there
         are fewer than two observations."""
@@ -241,30 +232,6 @@ class ObservationState:
         self.tb_round[tslot] = now
 
 
-def build_zone_contexts(
-    obs: ObservationState,
-    round_index: int,
-    rounds_per_day: int,
-    battery_fraction: np.ndarray,
-) -> list[ContextVector]:
-    """Assemble one ContextVector per zone from the observation state and the
-    per-zone mean remaining battery fraction."""
-    levels = obs.recent_level()
-    trends = obs.trend(round_index)
-    slot = round_index % rounds_per_day
-    return [
-        ContextVector(
-            round_index=round_index,
-            time_of_day_slot=slot,
-            zone_id=z,
-            recent_level=levels[z],
-            trend=trends[z],
-            energy_summary=float(battery_fraction[z]),
-        )
-        for z in range(levels.shape[0])
-    ]
-
-
 class _NoiseSource:
     """Sequential standard-normal source with a fixed (round, node, pollutant)
     layout, prefetched in chunks. Consumption never depends on which nodes
@@ -304,6 +271,12 @@ def run_simulation(
         raise ValueError(f"trace has {traces.n_zones} zones, config expects {cfg.n_zones}")
     if traces.n_rounds < cfg.rounds:
         raise ValueError(f"trace has {traces.n_rounds} rounds, config needs {cfg.rounds}")
+    if tuple(traces.zone_ids) != tuple(range(cfg.n_zones)) or any(
+        not 0 <= ev.zone_id < cfg.n_zones for ev in traces.events
+    ):
+        raise TraceError("trace zone ids must be positional (0..Z-1, events included); "
+                         "build the trace with build_round_trace")
+    check_values(traces.values)
 
     fleet: Fleet = build_fleet(cfg, seed)
     n = fleet.n_nodes
@@ -314,7 +287,7 @@ def run_simulation(
 
     pulls = np.zeros(n, dtype=np.int64)
     death_round = np.full(n, -1, dtype=np.int64)
-    state: PolicyState = make_policy_state(policy_kind, n, INITIAL_UTILITY)
+    state: PolicyState = make_policy_state(n, INITIAL_UTILITY)
 
     node_ids = np.arange(n, dtype=np.int64)
     zone_slices = [
@@ -344,18 +317,17 @@ def run_simulation(
         fundable = (pulls + 1) * costs <= capacity
         obs.evict(t)
         merged = obs.merged()  # may hold NaN for never-sampled channels
-        merged_nan = np.isnan(merged)
 
-        # hierarchical budget split from observed context only
-        cluster_budgets = None
+        # hierarchical budget split from observed context only:
+        # (zone slice, budget) per cluster
+        clusters = []
         if budgeted:
             if cfg.hierarchy:
-                levels = np.where(merged_nan, 0.0, merged)
                 trends = np.abs(obs.trend(t))
-                weights = hier.zone_interest_weights(hier.scalarize(trends), hier.scalarize(levels))
-                cluster_budgets = hier.allocate_budgets(global_budget, weights)
+                weights = hier.zone_interest_weights(hier.scalarize(trends), hier.scalarize(fill_baseline(merged)))
+                clusters = zip(zone_slices, hier.allocate_budgets(global_budget, weights).tolist())
             else:
-                cluster_budgets = [hier.ClusterBudget(zone_id=-1, weight=1.0, budget=global_budget)]
+                clusters = [(slice(0, n), global_budget)]
 
         selections: list[SelectionResult] = []
         if policy_kind is PolicyKind.STATIC:
@@ -368,8 +340,7 @@ def run_simulation(
             )
         else:
             # score the fleet once, then run the shared admission kernel per
-            # cluster; scoring goes through the same functions the policy
-            # surface exposes (ucb_scores, utility/energy ratio)
+            # cluster
             if policy_kind is PolicyKind.UCB:
                 scores = ucb_scores(state.ucb_means, state.ucb_counts, costs, t + 1, cfg.ucb_c)
                 floor = 0.0
@@ -378,17 +349,16 @@ def run_simulation(
                 floor = cfg.score_floor
             score_l = scores.tolist()
             fund_l = fundable.tolist()
-            for cb in cluster_budgets:
-                sl = zone_slices[cb.zone_id] if cb.zone_id >= 0 else slice(0, n)
+            for sl, budget in clusters:
                 cand = [
                     (i, score_l[i], cost_l[i])
                     for i in range(sl.start, sl.stop)
                     if fund_l[i]
                 ]
-                res = select_budgeted(cand, cb.budget, floor)
+                res = select_budgeted(cand, budget, floor)
                 selections.append(res)
                 n_budgeted += 1
-                max_violation = max(max_violation, res.total_cost - cb.budget)
+                max_violation = max(max_violation, res.total_cost - budget)
 
         sel = np.concatenate([np.asarray(r.selected, dtype=np.int64) for r in selections]) \
             if selections else np.empty(0, dtype=np.int64)
@@ -406,8 +376,7 @@ def run_simulation(
         # fleet so selection cannot shift anyone else's draws
         eps = noise.round_block(t).reshape(n, N_POLLUTANTS)
         sel_zones = zone_of[sel]
-        truth = values[t][sel_zones, :]  # [n_sel, P]
-        measured = np.maximum(0.0, truth * (1.0 + eps[sel, :] * cfg.noise_sigma))
+        measured = sensor_reading(values[t][sel_zones, :], eps[sel, :], cfg.noise_sigma)  # [n_sel, P]
 
         cur_sum = np.zeros((cfg.n_zones, N_POLLUTANTS))
         cur_cnt = np.zeros((cfg.n_zones, N_POLLUTANTS))
@@ -416,24 +385,18 @@ def run_simulation(
             np.add.at(cur_cnt, sel_zones, 1.0)
         cur_mean = np.divide(cur_sum, cur_cnt, out=np.full_like(cur_sum, np.nan), where=cur_cnt > 0)
 
-        bl = np.where(merged_nan, np.where(np.isnan(cur_mean), 0.0, cur_mean), merged)
-        scale = np.maximum(bl, FEEDBACK_SCALE_FLOOR)
-        if sel.size:
-            dev = np.abs(measured - bl[sel_zones, :]) / (K_DEVIATION * scale[sel_zones, :])
-            feedback = np.clip(dev, 0.0, 1.0).max(axis=1)
-        else:
-            feedback = np.empty(0)
+        bl = fill_baseline(merged, cur_mean)
+        feedback = feedback_proxy(measured, bl[sel_zones, :]).max(axis=1)
 
+        sel_costs = costs[sel]
         if policy_kind is PolicyKind.ADAPTIVE and sel.size:
-            state.utilities[sel] = (1.0 - cfg.eta) * state.utilities[sel] + cfg.eta * feedback
+            state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
         elif policy_kind is PolicyKind.UCB and sel.size:
             state.ucb_counts[sel] += 1
-            payoff = (cfg.alpha * feedback - cfg.beta * costs[sel] + cfg.beta * max_energy) / (
-                cfg.alpha + cfg.beta * max_energy
-            )
+            payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
             state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / state.ucb_counts[sel]
 
-        mean_reward = float(np.mean(cfg.alpha * feedback - cfg.beta * costs[sel])) if sel.size else 0.0
+        mean_reward = float(np.mean(reward(feedback, sel_costs, cfg.alpha, cfg.beta))) if sel.size else 0.0
 
         newly_detected = []
         if active_by_round[t] and sel.size:
@@ -446,7 +409,6 @@ def run_simulation(
                     newly_detected.append(idx)
 
         obs.push(t, cur_sum, cur_cnt, cur_mean)
-        state.round_index = t + 1
 
         logs.append(
             RoundLog(
@@ -477,31 +439,10 @@ def run_simulation(
         total_spent=total_spent,
         max_budget_violation=max(0.0, max_violation),
         n_budgeted_selections=n_budgeted,
-        clamp_warnings=state.clamp_warnings,
         final_utilities=state.utilities,
         final_ucb_means=state.ucb_means,
         final_ucb_counts=state.ucb_counts,
     )
-
-
-def mark_detections(run: RunResult, events: list[EventSpec] | None = None, threshold: float | None = None) -> list[bool]:
-    """Re-score event detections from the run's logs: an event counts as
-    detected if any activated sensor in its zone reported feedback at or
-    above the threshold during [start_round, end_round)."""
-    events = run.events if events is None else events
-    threshold = run.config["detect_threshold"] if threshold is None else threshold
-    flags = [False] * len(events)
-    zone_of = run.zone_of
-    for lg in run.logs:
-        if not len(lg.selected):
-            continue
-        for idx, ev in enumerate(events):
-            if flags[idx] or not (ev.start_round <= lg.round_index < ev.end_round):
-                continue
-            in_zone = zone_of[lg.selected] == ev.zone_id
-            if in_zone.any() and lg.feedback[in_zone].max() >= threshold:
-                flags[idx] = True
-    return flags
 
 
 def save_run(run: RunResult, path: str) -> None:
@@ -549,7 +490,6 @@ def load_run(path: str) -> RunResult:
         total_spent=d["total_spent"],
         max_budget_violation=d["max_budget_violation"],
         n_budgeted_selections=d["n_budgeted_selections"],
-        clamp_warnings=d["clamp_warnings"],
         final_utilities=np.zeros(len(d["energy_cost"])),
         final_ucb_means=np.zeros(len(d["energy_cost"])),
         final_ucb_counts=np.zeros(len(d["energy_cost"]), dtype=np.int64),

@@ -9,23 +9,13 @@ zone stays local to that zone's candidates.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
-
-from .core import ContextVector
 
 log = logging.getLogger("edgesense.hierarchy")
 
 DEFAULT_TREND_GAIN = 1.0   # lambda: weight on normalized trend magnitude
 DEFAULT_LEVEL_GAIN = 1.0   # mu: weight on normalized recent level
-
-
-@dataclass(frozen=True)
-class ClusterBudget:
-    zone_id: int
-    weight: float
-    budget: float
 
 
 def normalize_max(values: np.ndarray) -> np.ndarray:
@@ -66,23 +56,9 @@ def zone_interest_weights(
     return 1.0 + trend_gain * t + level_gain * l
 
 
-def zone_interest(
-    contexts: list[ContextVector],
-    trend_gain: float = DEFAULT_TREND_GAIN,
-    level_gain: float = DEFAULT_LEVEL_GAIN,
-) -> np.ndarray:
-    """Interest weights for a round's zone contexts (one weight per context,
-    in input order). Multi-channel levels and trends are scalarized per zone
-    before weighting."""
-    if not contexts:
-        raise ValueError("zone_interest needs at least one context")
-    levels = np.stack([c.recent_level for c in contexts])
-    trends = np.stack([np.abs(c.trend) for c in contexts])
-    return zone_interest_weights(scalarize(trends), scalarize(levels), trend_gain, level_gain)
-
-
-def allocate_budgets(global_budget: float, weights, zone_ids=None) -> list[ClusterBudget]:
-    """Split the global budget across zones proportionally to weight.
+def allocate_budgets(global_budget: float, weights) -> np.ndarray:
+    """Split the global budget across zones proportionally to weight; returns
+    one budget per zone, in weight order.
 
     All-zero weights fall back to an equal split (with a warning), so the
     budget is always fully assigned.
@@ -94,14 +70,8 @@ def allocate_budgets(global_budget: float, weights, zone_ids=None) -> list[Clust
         raise ValueError("weights must be a non-empty 1-d sequence")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    zone_ids = list(range(w.size)) if zone_ids is None else list(zone_ids)
     total = float(w.sum())
     if total <= 0.0:
         log.warning("all zone weights are zero; splitting budget equally")
-        shares = np.full(w.size, global_budget / w.size)
-    else:
-        shares = global_budget * (w / total)
-    return [
-        ClusterBudget(zone_id=int(z), weight=float(wi), budget=float(b))
-        for z, wi, b in zip(zone_ids, w, shares)
-    ]
+        return np.full(w.size, global_budget / w.size)
+    return global_budget * (w / total)

@@ -302,6 +302,29 @@ def to_json_dict(comp: Comparison) -> dict:
     }
 
 
+def from_json_dict(d: dict) -> Comparison:
+    """Rebuild a Comparison's summaries from to_json_dict output. per_run is
+    left empty: the text and summary CSV renderers do not read it."""
+    summaries = [
+        PolicySummary(
+            policy=p["policy"],
+            n_seeds=p["n_seeds"],
+            energy_mean=p["avg_daily_energy_mAh"],
+            energy_std=p["avg_daily_energy_std"],
+            detection_mean=p["detection_rate"],
+            detection_std=p["detection_rate_std"],
+            lifetime=math.inf if p["lifetime_days"] is None else p["lifetime_days"],
+            energy_reduction_pct=p["energy_reduction_pct"],
+            detection_delta_pp=p["detection_delta_pp"],
+            lifetime_extension_pct=p["lifetime_extension_pct"],
+            first_death_day=p["first_death_day"],
+            mean_selected_per_round=p["mean_selected_per_round"],
+        )
+        for p in d["policies"]
+    ]
+    return Comparison(d["config"], d["trace_hash"], tuple(d["seeds"]), summaries, per_run=[])
+
+
 def render_json(comp: Comparison) -> str:
     return stable_json(to_json_dict(comp))
 
@@ -360,3 +383,14 @@ def render_plot_csv(comp: Comparison) -> str:
         if not math.isinf(s.lifetime):
             w.writerow([s.policy, "lifetime_days", repr(s.lifetime), "0.0"])
     return buf.getvalue()
+
+
+def comparison_files(comp: Comparison) -> dict[str, str]:
+    """The artifact set of a comparison, file name -> contents."""
+    return {
+        "summary.txt": render_text(comp),
+        "summary.json": render_json(comp),
+        "summary.csv": render_summary_csv(comp),
+        "per_seed.csv": render_per_seed_csv(comp),
+        "plot.csv": render_plot_csv(comp),
+    }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,51 +55,42 @@ class SelectionResult:
 class PolicyState:
     """Mutable learning state carried across rounds for one policy run."""
 
-    kind: PolicyKind
     utilities: np.ndarray       # adaptive: EMA utility per node, in [0, 1]
     ucb_means: np.ndarray       # bandit: mean normalized payoff per node
     ucb_counts: np.ndarray      # bandit: activation counts per node
-    round_index: int = 0
-    clamp_warnings: int = 0     # feedback values that arrived outside [0, 1]
 
 
-def make_policy_state(kind: PolicyKind, n_nodes: int, initial_utility: float = 1.0) -> PolicyState:
+def make_policy_state(n_nodes: int, initial_utility: float = 1.0) -> PolicyState:
     return PolicyState(
-        kind=kind,
         utilities=np.full(n_nodes, initial_utility, dtype=np.float64),
         ucb_means=np.zeros(n_nodes, dtype=np.float64),
         ucb_counts=np.zeros(n_nodes, dtype=np.int64),
     )
 
 
-def reward(info_gain: float, energy_cost: float, alpha: float, beta: float) -> float:
-    """Sensing reward: information gain weighted against energy spent."""
+def reward(info_gain, energy_cost, alpha: float, beta: float):
+    """Sensing reward: information gain weighted against energy spent.
+    Scalars or arrays (elementwise)."""
     return alpha * info_gain - beta * energy_cost
 
 
-def score(utility: float, energy_cost: float) -> float:
-    """Utility earned per unit of energy. The adaptive policy ranks on this."""
-    if energy_cost <= 0:
-        raise ValueError(f"energy_cost must be > 0, got {energy_cost}")
-    return utility / energy_cost
+def normalized_payoff(info_gain, energy_cost, alpha: float, beta: float, max_energy: float):
+    """Map the reward onto [0, 1] with the affine map fixed by (alpha, beta,
+    max fleet energy cost) at run start. A degenerate span (alpha = beta = 0)
+    maps every payoff to 0. Scalars or arrays (elementwise)."""
+    span = alpha + beta * max_energy
+    if span <= 0:
+        return 0.0
+    return (reward(info_gain, energy_cost, alpha, beta) + beta * max_energy) / span
 
 
-def update_utility(utility: float, feedback: float, eta: float) -> float:
-    """Exponential moving average of feedback. Out-of-range feedback is
-    clamped to [0, 1]; callers that care to count clamps should check the
-    range first (see PolicyState.clamp_warnings)."""
+def update_utility(utility, feedback, eta: float):
+    """Exponential moving average of feedback, which must already lie in
+    [0, 1] (feedback_proxy guarantees it); the result then stays in [0, 1].
+    Scalars or arrays (elementwise)."""
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    clamped = min(1.0, max(0.0, feedback))
-    return (1.0 - eta) * utility + eta * clamped
-
-
-def note_feedback(state: PolicyState, feedback: float) -> float:
-    """Clamp feedback to [0, 1], counting violations on the state."""
-    clamped = min(1.0, max(0.0, feedback))
-    if clamped != feedback:
-        state.clamp_warnings += 1
-    return clamped
+    return (1.0 - eta) * utility + eta * feedback
 
 
 def select_budgeted(
@@ -156,30 +147,10 @@ def select_periodic(node_ids, energy_cost, round_index: int, period: int, duty: 
     return SelectionResult(selected=chosen, total_cost=total, budget=total)
 
 
-def ucb_index(mean_reward: float, count: int, round_index: int, c: float) -> float:
-    """Upper confidence bound index. Untried nodes get +inf so every node is
-    sampled before any exploitation; round_index is 1-based."""
-    if round_index < 1:
-        raise ValueError(f"round_index must be >= 1, got {round_index}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return math.inf
-    return mean_reward + c * math.sqrt(2.0 * math.log(round_index) / count)
-
-
-def normalized_payoff(info_gain: float, energy_cost: float, alpha: float, beta: float, max_energy: float) -> float:
-    """Map the raw reward alpha*I - beta*E onto [0, 1] with the affine map
-    fixed by (alpha, beta, max fleet energy cost) at run start."""
-    span = alpha + beta * max_energy
-    if span <= 0:
-        return 0.0
-    return (alpha * info_gain - beta * energy_cost + beta * max_energy) / span
-
-
 def ucb_scores(means, counts, energy_cost, round_index: int, c: float) -> np.ndarray:
-    """Cost-normalized UCB index for a whole fleet at once: ucb_index / E
-    per node, +inf for untried nodes. Vectorized twin of ucb_index."""
+    """Cost-normalized UCB index per node: (mean + c * sqrt(2 ln t / count))
+    / E, +inf for untried nodes so every node is sampled before any
+    exploitation; round_index t is 1-based."""
     if round_index < 1:
         raise ValueError(f"round_index must be >= 1, got {round_index}")
     counts = np.asarray(counts, dtype=np.float64)
@@ -189,37 +160,3 @@ def ucb_scores(means, counts, energy_cost, round_index: int, c: float) -> np.nda
     bonus = c * np.sqrt(2.0 * math.log(round_index) / np.maximum(counts, 1.0))
     index = np.where(counts > 0, np.asarray(means, dtype=np.float64) + bonus, np.inf)
     return index / costs
-
-
-def select_ucb(
-    node_ids,
-    means,
-    counts,
-    energy_cost,
-    budget: float,
-    round_index: int,
-    c: float,
-) -> SelectionResult:
-    """Bandit selection: rank by UCB index per unit energy, then fill the
-    budget greedily with no score floor."""
-    costs = np.asarray(energy_cost, dtype=np.float64)
-    scores = ucb_scores(means, counts, costs, round_index, c)
-    candidates = zip(np.asarray(node_ids, dtype=np.int64).tolist(), scores.tolist(), costs.tolist())
-    return select_budgeted(candidates, budget, score_floor=0.0)
-
-
-def select_adaptive(
-    node_ids,
-    utilities,
-    energy_cost,
-    budget: float,
-    score_floor: float,
-) -> SelectionResult:
-    """Utility-driven selection: rank by utility per unit energy and admit
-    only candidates whose score clears the floor, within the budget."""
-    costs = np.asarray(energy_cost, dtype=np.float64)
-    if costs.size and costs.min() <= 0:
-        raise ValueError("energy costs must be > 0")
-    scores = np.asarray(utilities, dtype=np.float64) / costs
-    candidates = zip(np.asarray(node_ids, dtype=np.int64).tolist(), scores.tolist(), costs.tolist())
-    return select_budgeted(candidates, budget, score_floor=score_floor)

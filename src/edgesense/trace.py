@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -83,17 +83,6 @@ class EventSpec:
             raise TraceError(f"event magnitude must be > 1, got {self.magnitude}")
 
 
-@dataclass(frozen=True)
-class TraceFrame:
-    round_index: int
-    zone_ids: tuple[int, ...]
-    values: np.ndarray  # [n_zones, N_POLLUTANTS]
-
-    def value(self, zone_id: int, pollutant: Pollutant) -> float:
-        z = self.zone_ids.index(zone_id)
-        return float(self.values[z, POLLUTANT_INDEX[pollutant]])
-
-
 @dataclass
 class TraceSet:
     values: np.ndarray  # [n_rounds, n_zones, N_POLLUTANTS], non-negative
@@ -108,9 +97,6 @@ class TraceSet:
     def n_zones(self) -> int:
         return self.values.shape[1]
 
-    def frame(self, round_index: int) -> TraceFrame:
-        return TraceFrame(round_index, self.zone_ids, self.values[round_index])
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.values, dtype=np.float64).tobytes())
@@ -122,9 +108,11 @@ class TraceSet:
         return h.hexdigest()
 
 
-def _check_values(values: np.ndarray) -> None:
+def check_values(values: np.ndarray) -> None:
     if values.ndim != 3 or values.shape[2] != N_POLLUTANTS:
         raise TraceError(f"trace values must be [rounds, zones, {N_POLLUTANTS}], got {values.shape}")
+    if not np.isfinite(values).all():
+        raise TraceError("trace values must be finite")
     if np.any(values < 0):
         raise TraceError("trace values must be non-negative")
 
@@ -181,7 +169,7 @@ def load_csv(
                 value = float(row[3])
             except ValueError:
                 raise TraceError(f"line {lineno}: non-numeric value {row[3]!r}") from None
-            if math.isnan(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise TraceError(f"line {lineno}: negative or invalid concentration {row[3]!r}")
             key = (ts, zone, pol)
             if key in cells:
@@ -399,8 +387,10 @@ def apply_events(traces: TraceSet, events: list[EventSpec]) -> TraceSet:
         pi = POLLUTANT_INDEX[ev.pollutant]
         window = mult[ev.start_round : ev.end_round, zi, pi]
         np.maximum(window, ev.magnitude, out=window)
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected by check_values
+        values = traces.values * mult
     return TraceSet(
-        values=traces.values * mult,
+        values=values,
         zone_ids=traces.zone_ids,
         events=list(traces.events) + list(events),
     )
@@ -466,8 +456,21 @@ def build_round_trace(
     events: list[EventSpec] | None = None,
 ) -> TraceSet:
     """Interpolate an hourly trace to the round grid, trim to cfg.rounds,
-    then apply the given events (already expressed in rounds)."""
+    then apply the given events (already expressed in rounds).
+
+    The result is positional, as the engine requires: zone ids become
+    0..Z-1 in the hourly trace's zone order, and events are relabelled to
+    match. An event on a zone the trace lacks raises TraceError.
+    """
+    position = {z: i for i, z in enumerate(hourly.zone_ids)}
+    events = list(events or [])
+    unknown = sorted({ev.zone_id for ev in events} - position.keys())
+    if unknown:
+        raise TraceError(f"events name zone ids the trace lacks: {unknown}")
+
+    def relabel(evs):
+        return [replace(ev, zone_id=position[ev.zone_id]) for ev in evs]
+
     rounds = fit_rounds(interpolate(hourly, cfg.round_minutes), cfg.rounds)
-    if events:
-        rounds = apply_events(rounds, events)
-    return rounds
+    rounds = TraceSet(values=rounds.values, zone_ids=tuple(range(rounds.n_zones)), events=relabel(rounds.events))
+    return apply_events(rounds, relabel(events)) if events else rounds

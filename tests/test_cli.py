@@ -14,6 +14,7 @@ import pytest
 
 from edgesense import engine, trace
 from edgesense.cli import parse_seed_list
+from edgesense.core import Pollutant, load_config
 from edgesense.policy import PolicyKind
 
 CONFIG_TEXT = """\
@@ -77,6 +78,30 @@ def artifacts(cfg_file, tmp_path_factory):
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _write_world(cfg_file, tmp_path, zone_ids=(0, 1), events=(), edit=None):
+    """Write the config's synthetic hourly trace with the given zone labels,
+    optionally rewriting one CSV line (edit maps the line list in place),
+    plus an event schedule. Returns (trace path, events path)."""
+    cfg = load_config(cfg_file)
+    hourly = trace.generate_synthetic(cfg, rng_seed=3)
+    hourly = trace.TraceSet(values=hourly.values, zone_ids=tuple(zone_ids))
+    trace_csv, events_csv = tmp_path / "hourly.csv", tmp_path / "events.csv"
+    trace.write_csv(hourly, str(trace_csv))
+    if edit is not None:
+        lines = trace_csv.read_text().splitlines()
+        edit(lines)
+        trace_csv.write_text("\n".join(lines) + "\n")
+    trace.write_events_csv(list(events), str(events_csv))
+    return str(trace_csv), str(events_csv)
+
+
+def _set_first_co(value):
+    def edit(lines):
+        k = next(i for i, line in enumerate(lines) if ",CO," in line)
+        lines[k] = lines[k].rsplit(",", 1)[0] + "," + value
+    return edit
 
 
 class TestBasics:
@@ -207,8 +232,7 @@ class TestReport:
     def test_text_from_directory(self, artifacts):
         proc = run_cli("report", "--in", artifacts["cmp_dir"])
         assert proc.returncode == 0, proc.stderr
-        assert "static" in proc.stdout and "adaptive" in proc.stdout
-        assert "policy" in proc.stdout
+        assert proc.stdout == _read(os.path.join(artifacts["cmp_dir"], "summary.txt"))
 
     def test_json_roundtrips_summary(self, artifacts):
         proc = run_cli("report", "--in", artifacts["cmp_dir"], "--format", "json")
@@ -218,7 +242,7 @@ class TestReport:
     def test_csv_format(self, artifacts):
         proc = run_cli("report", "--in", artifacts["cmp_dir"], "--format", "csv")
         assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0].startswith("policy,")
+        assert proc.stdout == _read(os.path.join(artifacts["cmp_dir"], "summary.csv"))
 
     def test_run_record_report(self, artifacts):
         proc = run_cli("report", "--in", artifacts["run_json"])
@@ -264,6 +288,44 @@ class TestFailureModes:
             assert proc.returncode == 2, argv
             assert proc.stderr.startswith("error:"), argv
             assert needle in proc.stderr, argv
+
+    def test_non_finite_trace_values_exit_two(self, cfg_file, tmp_path):
+        # an infinite cell in the file is caught by the CSV reader
+        trace_csv, _ = _write_world(cfg_file, tmp_path, edit=_set_first_co("inf"))
+        for cmd in (("run", "--policy", "static"), ("compare", "--seeds", "1")):
+            proc = run_cli(*cmd, "--config", cfg_file, "--trace", trace_csv)
+            assert proc.returncode == 2, cmd
+            assert proc.stderr.startswith("error: line 4: "), proc.stderr
+        # a finite cell that an event multiplies past the float range is
+        # caught by the engine's own trace check
+        huge = _write_world(cfg_file, tmp_path, edit=_set_first_co("1e308"),
+                            events=[trace.EventSpec(0, 0, 4, Pollutant.CO, 5.0)])
+        proc = run_cli("run", "--policy", "static", "--config", cfg_file,
+                       "--trace", huge[0], "--events", huge[1])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "finite" in proc.stderr, proc.stderr
+
+    def test_event_on_unknown_zone_exits_two(self, cfg_file, tmp_path):
+        trace_csv, events_csv = _write_world(
+            cfg_file, tmp_path, events=[trace.EventSpec(7, 0, 4, Pollutant.CO, 3.0)])
+        proc = run_cli("run", "--policy", "ucb", "--config", cfg_file,
+                       "--trace", trace_csv, "--events", events_csv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "lacks: [7]" in proc.stderr, proc.stderr
+
+    def test_zone_labels_do_not_change_the_run(self, cfg_file, tmp_path):
+        outs = []
+        for labels in ((0, 1), (5, 9)):
+            sub = tmp_path / f"z{labels[0]}"
+            sub.mkdir()
+            trace_csv, events_csv = _write_world(
+                cfg_file, sub, zone_ids=labels,
+                events=[trace.EventSpec(labels[0], 10, 30, Pollutant.NO2, 4.0)])
+            proc = run_cli("run", "--policy", "adaptive", "--config", cfg_file, "--trace", trace_csv,
+                           "--events", events_csv, "--out", str(sub / "run.json"))
+            assert proc.returncode == 0, proc.stderr
+            outs.append((sub / "run.json").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_policy_names_round_trip(self):
         for kind in PolicyKind:

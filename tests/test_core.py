@@ -1,4 +1,4 @@
-"""Vocabulary types: pollutants, sensor nodes, config handling, fleet, streams."""
+"""Vocabulary types: pollutants, config handling, fleet, streams."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,8 @@ from edgesense import core
 from edgesense.core import (
     ConfigError,
     Pollutant,
-    SensorNode,
     SimConfig,
     build_fleet,
-    build_zones,
-    drain_battery,
     load_config,
     parse_config_text,
     parse_override,
@@ -37,34 +34,6 @@ class TestPollutant:
     def test_index_matches_order(self):
         for i, p in enumerate(core.POLLUTANTS):
             assert core.POLLUTANT_INDEX[p] == i
-
-
-class TestSensorNode:
-    def test_zero_drain_changes_nothing(self):
-        node = SensorNode(node_id=0, zone_id=0, energy_cost=1.0, battery=10.0)
-        drain_battery(node, 0.0)
-        assert node.battery == 10.0
-        assert node.alive
-
-    def test_overdraw_clamps_at_zero_and_kills(self):
-        node = SensorNode(node_id=0, zone_id=0, energy_cost=1.25, battery=1.0)
-        drain_battery(node, 1.25)
-        assert node.battery == 0.0
-        assert not node.alive
-
-    def test_negative_drain_rejected(self):
-        node = SensorNode(node_id=0, zone_id=0, energy_cost=1.0, battery=5.0)
-        with pytest.raises(ValueError):
-            drain_battery(node, -0.1)
-
-    def test_steady_drain_dies_on_schedule(self):
-        # 21600 mAh at 120 mAh per day lasts exactly 180 days
-        node = SensorNode(node_id=0, zone_id=0, energy_cost=1.0, battery=21600.0)
-        for _ in range(179):
-            drain_battery(node, 120.0)
-            assert node.alive
-        drain_battery(node, 120.0)
-        assert not node.alive
 
 
 class TestConfigValidation:
@@ -194,10 +163,11 @@ class TestConfigParsing:
 
 class TestFleet:
     def test_zone_partition_is_contiguous(self):
-        zones = build_zones(SimConfig(n_zones=3, nodes_per_zone=4))
-        assert [z.zone_id for z in zones] == [0, 1, 2]
-        assert zones[1].node_ids == (4, 5, 6, 7)
-        assert [i for z in zones for i in z.node_ids] == list(range(12))
+        # zone z owns node ids [z * npz, (z + 1) * npz), which the engine's
+        # per-zone slices rely on
+        zone_of = build_fleet(SimConfig(n_zones=3, nodes_per_zone=4), seed=1).zone_id
+        assert np.flatnonzero(zone_of == 1).tolist() == [4, 5, 6, 7]
+        assert np.all(np.diff(zone_of) >= 0)
 
     def test_costs_deterministic_and_in_range(self):
         cfg = SimConfig(n_zones=2, nodes_per_zone=5, energy_cost_range=(0.75, 1.75))
@@ -213,15 +183,6 @@ class TestFleet:
     def test_zone_assignment_matches_partition(self):
         fleet = build_fleet(SimConfig(n_zones=3, nodes_per_zone=2), seed=1)
         assert fleet.zone_id.tolist() == [0, 0, 1, 1, 2, 2]
-
-    def test_node_view_reads_columns(self):
-        cfg = SimConfig(n_zones=2, nodes_per_zone=2, battery_capacity=100.0)
-        fleet = build_fleet(cfg, seed=1)
-        node = fleet.node(3)
-        assert (node.node_id, node.zone_id) == (3, 1)
-        assert node.battery == 100.0
-        assert node.energy_cost == fleet.energy_cost[3]
-        assert fleet.node(0, battery=5.0).battery == 5.0
 
 
 class TestStreams:

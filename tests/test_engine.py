@@ -1,6 +1,7 @@
 """Engine behaviour: readings, feedback, observation state, full simulations."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,68 +11,67 @@ from edgesense.core import (
     ConfigError,
     N_POLLUTANTS,
     STREAM_READING,
+    Pollutant,
     SimConfig,
     stream,
 )
 from edgesense.engine import (
+    FEEDBACK_SCALE_FLOOR,
     INITIAL_UTILITY,
+    K_DEVIATION,
     ObservationState,
     _NoiseSource,
-    build_zone_contexts,
     feedback_proxy,
+    fill_baseline,
     load_run,
-    mark_detections,
     run_simulation,
     save_run,
     sensor_reading,
     write_round_log_csv,
 )
 from edgesense.policy import POLICY_ORDER
-from oracles import window_mean
-
-
-class FixedRng:
-    """Stand-in generator whose normal() always returns the same epsilon."""
-
-    def __init__(self, eps):
-        self.eps = eps
-
-    def normal(self, loc, scale):
-        return self.eps
+from edgesense.trace import EventSpec, TraceError, TraceSet
+from oracles import mark_detections, window_mean
 
 
 class TestSensorReading:
     def test_zero_sigma_is_exact(self):
-        rng = np.random.default_rng(0)
-        assert sensor_reading(37.25, 0.0, rng) == 37.25
+        assert sensor_reading(37.25, 1.7, 0.0) == 37.25
 
     def test_noise_scales_multiplicatively(self):
-        assert sensor_reading(10.0, 0.1, FixedRng(0.5)) == pytest.approx(15.0)
+        # a standard-normal draw of 5 at sigma 0.1 is a +50% excursion
+        assert sensor_reading(10.0, 5.0, 0.1) == pytest.approx(15.0)
+        got = sensor_reading(np.array([[10.0, 20.0]]), np.array([[5.0, -5.0]]), 0.1)
+        assert np.allclose(got, [[15.0, 10.0]])
 
     def test_negative_excursions_clamp_to_zero(self):
-        assert sensor_reading(5.0, 0.5, FixedRng(-2.0)) == 0.0
+        assert sensor_reading(5.0, -4.0, 0.5) == 0.0
 
 
 class TestFeedbackProxy:
     def test_on_baseline_is_zero(self):
-        assert feedback_proxy(40.0, 40.0, 40.0) == 0.0
+        assert feedback_proxy(40.0, 40.0) == 0.0
 
     def test_saturates_exactly_at_k_deviations(self):
-        # |measured - baseline| = 1.5 * scale maps to exactly 1.0
-        assert feedback_proxy(100.0, 40.0, 40.0, k_dev=1.5) == 1.0
+        # |measured - baseline| = K_DEVIATION * baseline maps to exactly 1.0
+        assert K_DEVIATION == 1.5
+        assert feedback_proxy(100.0, 40.0) == 1.0
 
     def test_clamps_beyond_saturation(self):
-        assert feedback_proxy(500.0, 40.0, 40.0, k_dev=1.5) == 1.0
+        assert feedback_proxy(500.0, 40.0) == 1.0
 
     def test_negative_deviations_count_by_magnitude(self):
-        assert feedback_proxy(10.0, 40.0, 40.0, k_dev=1.5) == pytest.approx(0.5)
+        assert feedback_proxy(10.0, 40.0) == pytest.approx(0.5)
 
     def test_linear_inside_the_band(self):
-        assert feedback_proxy(70.0, 40.0, 40.0, k_dev=1.5) == pytest.approx(0.5)
+        assert feedback_proxy(70.0, 40.0) == pytest.approx(0.5)
+        got = feedback_proxy(np.array([40.0, 70.0, 500.0]), np.array([40.0, 40.0, 40.0]))
+        assert got.tolist() == pytest.approx([0.0, 0.5, 1.0])
 
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            feedback_proxy(1.0, 1.0, 0.0)
+    def test_near_zero_baseline_uses_the_scale_floor(self):
+        assert feedback_proxy(0.0, 0.0) == 0.0
+        assert feedback_proxy(0.75 * FEEDBACK_SCALE_FLOOR, 0.0) == pytest.approx(0.5)
+        assert feedback_proxy(1.0, 0.0) == 1.0
 
 
 class TestObservationState:
@@ -113,9 +113,14 @@ class TestObservationState:
         obs = ObservationState(1, 4)
         current = np.full((1, N_POLLUTANTS), np.nan)
         current[0, 0] = 12.0
-        bl = obs.baseline(current)
+        bl = fill_baseline(obs.merged(), current)
         assert bl[0, 0] == 12.0
         assert np.all(bl[0, 1:] == 0.0)
+        assert np.all(fill_baseline(obs.merged()) == 0.0)
+        # a sampled channel keeps its window mean whatever this round saw
+        level = np.full((1, N_POLLUTANTS), 30.0)
+        obs.push(0, level, np.ones((1, N_POLLUTANTS)), level)
+        assert np.all(fill_baseline(obs.merged(), current) == 30.0)
 
     def test_trend_matches_polyfit_on_full_window(self):
         rng = np.random.default_rng(5)
@@ -164,21 +169,6 @@ class TestObservationState:
         obs.evict(3)
         # round 0's spike left the window
         assert np.all(obs.merged() == 15.0)
-
-
-class TestBuildZoneContexts:
-    def test_fields_come_from_observations(self):
-        obs = ObservationState(3, window=24)
-        level = np.full((3, N_POLLUTANTS), 30.0)
-        obs.evict(0)
-        obs.push(0, level, np.ones((3, N_POLLUTANTS)), level)
-        battery = np.array([1.0, 0.5, 0.25])
-        contexts = build_zone_contexts(obs, round_index=25, rounds_per_day=24, battery_fraction=battery)
-        assert [c.zone_id for c in contexts] == [0, 1, 2]
-        assert all(c.round_index == 25 and c.time_of_day_slot == 1 for c in contexts)
-        assert [c.energy_summary for c in contexts] == [1.0, 0.5, 0.25]
-        assert np.all(contexts[1].recent_level == 30.0)
-        assert contexts[2].trend.shape == (N_POLLUTANTS,)
 
 
 class TestNoiseSource:
@@ -244,7 +234,6 @@ class TestRunInvariants:
                 if len(lg.feedback):
                     assert lg.feedback.min() >= 0.0
                     assert lg.feedback.max() <= 1.0
-            assert run.clamp_warnings == 0
 
     def test_ucb_bookkeeping(self, runs):
         run = runs["ucb"]
@@ -287,6 +276,31 @@ class TestRunValidation:
     def test_invalid_config(self, tiny_cfg, tiny_traces):
         with pytest.raises(ConfigError):
             run_simulation(tiny_cfg.replace(eta=2.0), tiny_traces, "adaptive")
+
+    def test_non_finite_trace_values_rejected(self, tiny_cfg, tiny_traces):
+        values = tiny_traces.values.copy()
+        values[3, 1, 2] = np.inf
+        bad = TraceSet(values=values, zone_ids=tiny_traces.zone_ids, events=tiny_traces.events)
+        with pytest.raises(TraceError, match="finite"):
+            run_simulation(tiny_cfg, bad, "static")
+
+    def test_zone_ids_must_be_positional(self, tiny_cfg, tiny_traces):
+        labelled = TraceSet(values=tiny_traces.values, zone_ids=(5, 9), events=[])
+        with pytest.raises(TraceError, match="positional"):
+            run_simulation(tiny_cfg, labelled, "static")
+        stray = TraceSet(values=tiny_traces.values, zone_ids=(0, 1),
+                         events=[EventSpec(7, 0, 4, Pollutant.CO, 3.0)])
+        with pytest.raises(TraceError, match="positional"):
+            run_simulation(tiny_cfg, stray, "static")
+
+    def test_zero_span_payoff_keeps_ucb_means_finite(self, tiny_cfg, tiny_traces):
+        # alpha = beta = 0 leaves the payoff map without a span; the engine
+        # must take normalized_payoff's guard instead of dividing 0 by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run = run_simulation(tiny_cfg.replace(alpha=0.0, beta=0.0), tiny_traces, "ucb")
+        assert np.all(np.isfinite(run.final_ucb_means))
+        assert np.all(run.final_ucb_means == 0.0)
 
     def test_zero_rounds_is_a_valid_noop(self, tiny_cfg, tiny_traces):
         run = run_simulation(tiny_cfg.replace(rounds=0), tiny_traces, "static")

@@ -73,7 +73,6 @@ def flat_run(
         total_spent=daily_energy * n_nodes * days,
         max_budget_violation=0.0,
         n_budgeted_selections=0,
-        clamp_warnings=0,
         final_utilities=np.ones(n_nodes),
         final_ucb_means=np.zeros(n_nodes),
         final_ucb_counts=np.zeros(n_nodes, dtype=np.int64),

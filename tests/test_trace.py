@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesense._util import stable_json
 from edgesense.core import N_POLLUTANTS, POLLUTANTS, Pollutant, SimConfig
+from edgesense.engine import run_simulation
+from edgesense.metrics import compute_run_metrics
+from edgesense.policy import POLICY_ORDER
 from edgesense.trace import (
     EventSpec,
     TraceError,
@@ -176,6 +180,11 @@ class TestCsvErrors:
         with pytest.raises(TraceError, match="negative or invalid"):
             self._load(tmp_path, _csv_lines("2026-01-01T00:00:00Z,0,PM25,-1.0"))
 
+    def test_non_finite_value(self, tmp_path):
+        for raw in ("inf", "-inf", "nan", "1e999"):
+            with pytest.raises(TraceError, match="line 2: negative or invalid"):
+                self._load(tmp_path, _csv_lines(f"2026-01-01T00:00:00Z,0,CO,{raw}"))
+
     def test_non_numeric_value(self, tmp_path):
         with pytest.raises(TraceError, match="non-numeric value"):
             self._load(tmp_path, _csv_lines("2026-01-01T00:00:00Z,0,PM25,high"))
@@ -344,3 +353,36 @@ class TestBuildRoundTrace:
         pi = POLLUTANTS.index(Pollutant.PM25)
         assert np.allclose(boosted.values[10:20, 0, pi], plain.values[10:20, 0, pi] * 3.0)
         assert boosted.events == [ev]
+
+    def test_unknown_event_zone_rejected(self):
+        cfg = SimConfig(n_zones=2, rounds=96, round_minutes=15)
+        hourly = generate_synthetic(cfg, rng_seed=3)
+        with pytest.raises(TraceError, match=r"zone ids the trace lacks: \[7\]"):
+            build_round_trace(cfg, hourly, [EventSpec(7, 10, 20, Pollutant.CO, 3.0)])
+
+    def test_zone_ids_become_positional(self):
+        cfg = SimConfig(n_zones=2, rounds=96, round_minutes=15)
+        hourly = generate_synthetic(cfg, rng_seed=3)
+        labelled = TraceSet(values=hourly.values, zone_ids=(5, 9))
+        rounds = build_round_trace(cfg, labelled, [EventSpec(9, 10, 20, Pollutant.CO, 3.0)])
+        assert rounds.zone_ids == (0, 1)
+        assert rounds.events == [EventSpec(1, 10, 20, Pollutant.CO, 3.0)]
+        want = build_round_trace(cfg, hourly, [EventSpec(1, 10, 20, Pollutant.CO, 3.0)])
+        assert np.array_equal(rounds.values, want.values)
+
+    @settings(max_examples=15)
+    @given(labels=st.lists(st.integers(-1000, 1000), min_size=3, max_size=3, unique=True))
+    def test_relabelling_zones_leaves_runs_unchanged(self, labels):
+        cfg = SimConfig(n_zones=3, nodes_per_zone=2, rounds=48, round_minutes=60, seed=5)
+        hourly = generate_synthetic(cfg, rng_seed=5)
+        events = draw_events(cfg.rounds, cfg.n_zones, cfg.rounds_per_day, rate_per_zone_day=2.0, rng_seed=5)
+        relabelled = TraceSet(values=hourly.values, zone_ids=tuple(labels))
+        moved = [EventSpec(labels[ev.zone_id], ev.start_round, ev.end_round, ev.pollutant, ev.magnitude)
+                 for ev in events]
+        base = build_round_trace(cfg, hourly, events)
+        other = build_round_trace(cfg, relabelled, moved)
+        for kind in POLICY_ORDER:
+            a = run_simulation(cfg, base, kind)
+            b = run_simulation(cfg, other, kind)
+            assert stable_json(a.to_dict()) == stable_json(b.to_dict())
+            assert compute_run_metrics(a) == compute_run_metrics(b)
