@@ -12,7 +12,6 @@ Example:
 
 import argparse
 import csv
-import statistics
 import sys
 from dataclasses import replace
 
@@ -22,19 +21,17 @@ from edgesense.core import SimConfig
 from edgesense.engine import run_simulation
 
 
-def _aggregate(rows, policy, floor, runs):
-    per_run = [metrics.compute_run_metrics(r) for r in runs]
-    energy = statistics.fmean(m.avg_daily_energy for m in per_run)
-    detections = [m.detection_rate for m in per_run if m.detection_rate is not None]
-    rows.append({
+def _row(floor, runs):
+    s = metrics.compare(runs).summaries[0]
+    return {
         "score_floor": floor,
-        "policy": policy,
-        "n_seeds": len(runs),
-        "avg_daily_energy_mAh": repr(energy),
-        "detection_rate": repr(statistics.fmean(detections)) if detections else "",
-        "lifetime_days": metrics.lifetime_estimate(runs[0].config["battery_capacity"], energy),
-        "mean_selected_per_round": repr(statistics.fmean(m.mean_selected_per_round for m in per_run)),
-    })
+        "policy": s.policy,
+        "n_seeds": s.n_seeds,
+        "avg_daily_energy_mAh": repr(s.energy_mean),
+        "detection_rate": "" if s.detection_mean is None else repr(s.detection_mean),
+        "lifetime_days": s.lifetime,
+        "mean_selected_per_round": repr(s.mean_selected_per_round),
+    }
 
 
 def main() -> int:
@@ -55,13 +52,10 @@ def main() -> int:
     events = trace.draw_events(base.rounds, base.n_zones, base.rounds_per_day, rng_seed=base.seed)
     traces = trace.build_round_trace(base, hourly, events)
 
-    rows = []
-    static_runs = [run_simulation(base, traces, "static", seed=s) for s in seeds]
-    _aggregate(rows, "static", "", static_runs)
+    rows = [_row("", [run_simulation(base, traces, "static", seed=s) for s in seeds])]
     for floor in floors:
         cfg = replace(base, score_floor=floor)
-        runs = [run_simulation(cfg, traces, "adaptive", seed=s) for s in seeds]
-        _aggregate(rows, "adaptive", repr(floor), runs)
+        rows.append(_row(repr(floor), [run_simulation(cfg, traces, "adaptive", seed=s) for s in seeds]))
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")

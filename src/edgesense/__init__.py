@@ -20,7 +20,7 @@ from .core import (
 from .engine import RunResult, run_simulation
 from .metrics import Comparison, RunMetrics, compare, compute_run_metrics
 from .policy import PolicyKind, SelectionResult
-from .trace import EventSpec, TraceError, TraceSet, generate_synthetic, inject_events
+from .trace import EventSpec, TraceError, TraceSet, generate_synthetic
 
 __all__ = [
     "__version__",
@@ -41,5 +41,4 @@ __all__ = [
     "TraceError",
     "TraceSet",
     "generate_synthetic",
-    "inject_events",
 ]

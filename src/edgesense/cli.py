@@ -201,15 +201,14 @@ def _cmd_run(args) -> int:
 
 
 def _compare_task(payload) -> RunResult:
-    cfg_values, traces, policy_name, seed = payload
-    cfg = SimConfig(**cfg_values)
-    return run_simulation(cfg, traces, PolicyKind.from_name(policy_name), seed=seed)
+    cfg, traces, kind, seed = payload
+    return run_simulation(cfg, traces, kind, seed=seed)
 
 
 def run_comparison(cfg: SimConfig, traces: TraceSet, policies, seeds, jobs: int = 1) -> metrics.Comparison:
     """Simulate every (policy, seed) pair over one shared trace and aggregate.
     Results are merged in task order, so worker count never changes output."""
-    tasks = [(cfg.to_dict(), traces, k.value, s) for k in policies for s in seeds]
+    tasks = [(cfg, traces, k, s) for k in policies for s in seeds]
     if jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(_compare_task, tasks))

@@ -30,6 +30,7 @@ from .core import (
     stream,
 )
 from .policy import (
+    INITIAL_UTILITY,
     PolicyKind,
     PolicyState,
     SelectionResult,
@@ -51,7 +52,6 @@ RUN_FORMAT = "edgesense-run/1"
 K_DEVIATION = 1.5            # feedback saturates at this multiple of baseline deviation
 FEEDBACK_SCALE_FLOOR = 1e-6  # keeps the deviation ratio finite for near-zero baselines
 TREND_WINDOW = 8             # rounds of observed history behind the trend slope
-INITIAL_UTILITY = 1.0        # optimistic start so every node gets tried early
 
 
 def sensor_reading(truth, z, noise_sigma: float):
@@ -106,7 +106,6 @@ class RunResult:
     n_budgeted_selections: int
     final_utilities: np.ndarray
     final_ucb_means: np.ndarray
-    final_ucb_counts: np.ndarray
 
     @property
     def n_rounds(self) -> int:
@@ -131,6 +130,8 @@ class RunResult:
             "final_battery": [float(x) for x in self.final_battery],
             "activation_counts": [int(x) for x in self.activation_counts],
             "death_round": [int(x) for x in self.death_round],
+            "final_utilities": [float(x) for x in self.final_utilities],
+            "final_ucb_means": [float(x) for x in self.final_ucb_means],
             "events": [
                 {
                     "zone_id": ev.zone_id,
@@ -167,16 +168,15 @@ class ObservationState:
     means over a short window. Both see only what sensors reported.
     """
 
-    def __init__(self, n_zones: int, window: int, trend_window: int = TREND_WINDOW):
+    def __init__(self, n_zones: int, window: int):
         self.window = window
         self.ring_sum = np.zeros((window, n_zones, N_POLLUTANTS))
         self.ring_cnt = np.zeros((window, n_zones, N_POLLUTANTS))
         self.win_sum = np.zeros((n_zones, N_POLLUTANTS))
         self.win_cnt = np.zeros((n_zones, N_POLLUTANTS))
         self.first_obs = np.full((n_zones, N_POLLUTANTS), np.nan)
-        self.trend_window = trend_window
-        self.tb_values = np.full((trend_window, n_zones, N_POLLUTANTS), np.nan)
-        self.tb_round = np.full(trend_window, -1, dtype=np.int64)
+        self.tb_values = np.full((TREND_WINDOW, n_zones, N_POLLUTANTS), np.nan)
+        self.tb_round = np.full(TREND_WINDOW, -1, dtype=np.int64)
 
     def merged(self) -> np.ndarray:
         """Windowed mean per (zone, pollutant), first observation where the
@@ -189,7 +189,7 @@ class ObservationState:
         x = (self.tb_round - now).astype(np.float64)
         if self.tb_round.min() >= 0 and not np.isnan(self.tb_values).any():
             # full window, every channel sampled: closed-form with scalar x stats
-            k = float(self.trend_window)
+            k = float(TREND_WINDOW)
             sx = x.sum()
             sxx = float(x @ x)
             denom = k * sxx - sx * sx
@@ -227,7 +227,7 @@ class ObservationState:
         self.win_cnt += cur_cnt
         fresh = np.isnan(self.first_obs) & (cur_cnt > 0)
         self.first_obs[fresh] = cur_mean[fresh]
-        tslot = now % self.trend_window
+        tslot = now % TREND_WINDOW
         self.tb_values[tslot] = cur_mean
         self.tb_round[tslot] = now
 
@@ -287,7 +287,7 @@ def run_simulation(
 
     pulls = np.zeros(n, dtype=np.int64)
     death_round = np.full(n, -1, dtype=np.int64)
-    state: PolicyState = make_policy_state(n, INITIAL_UTILITY)
+    state: PolicyState = make_policy_state(n)
 
     node_ids = np.arange(n, dtype=np.int64)
     zone_slices = [
@@ -342,7 +342,7 @@ def run_simulation(
             # score the fleet once, then run the shared admission kernel per
             # cluster
             if policy_kind is PolicyKind.UCB:
-                scores = ucb_scores(state.ucb_means, state.ucb_counts, costs, t + 1, cfg.ucb_c)
+                scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
                 floor = 0.0
             else:
                 scores = state.utilities / costs
@@ -392,9 +392,9 @@ def run_simulation(
         if policy_kind is PolicyKind.ADAPTIVE and sel.size:
             state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
         elif policy_kind is PolicyKind.UCB and sel.size:
-            state.ucb_counts[sel] += 1
+            # pulls already counts this round's activation
             payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
-            state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / state.ucb_counts[sel]
+            state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / pulls[sel]
 
         mean_reward = float(np.mean(reward(feedback, sel_costs, cfg.alpha, cfg.beta))) if sel.size else 0.0
 
@@ -441,7 +441,6 @@ def run_simulation(
         n_budgeted_selections=n_budgeted,
         final_utilities=state.utilities,
         final_ucb_means=state.ucb_means,
-        final_ucb_counts=state.ucb_counts,
     )
 
 
@@ -450,13 +449,15 @@ def save_run(run: RunResult, path: str) -> None:
 
 
 def load_run(path: str) -> RunResult:
-    """Rehydrate a RunResult written by save_run."""
+    """Rehydrate a RunResult written by save_run. A record written before
+    the final learner state was saved loads with the run-start state."""
     from .core import Pollutant
 
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     if d.get("format") != RUN_FORMAT:
         raise ValueError(f"unsupported run format {d.get('format')!r} in {path}")
+    n = len(d["energy_cost"])
     logs = [
         RoundLog(
             round_index=r["round"],
@@ -490,9 +491,8 @@ def load_run(path: str) -> RunResult:
         total_spent=d["total_spent"],
         max_budget_violation=d["max_budget_violation"],
         n_budgeted_selections=d["n_budgeted_selections"],
-        final_utilities=np.zeros(len(d["energy_cost"])),
-        final_ucb_means=np.zeros(len(d["energy_cost"])),
-        final_ucb_counts=np.zeros(len(d["energy_cost"]), dtype=np.int64),
+        final_utilities=np.asarray(d.get("final_utilities", [INITIAL_UTILITY] * n), dtype=np.float64),
+        final_ucb_means=np.asarray(d.get("final_ucb_means", [0.0] * n), dtype=np.float64),
     )
 
 

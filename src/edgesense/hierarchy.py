@@ -14,9 +14,6 @@ import numpy as np
 
 log = logging.getLogger("edgesense.hierarchy")
 
-DEFAULT_TREND_GAIN = 1.0   # lambda: weight on normalized trend magnitude
-DEFAULT_LEVEL_GAIN = 1.0   # mu: weight on normalized recent level
-
 
 def normalize_max(values: np.ndarray) -> np.ndarray:
     """Scale non-negative values by the maximum so the largest maps to 1.
@@ -42,18 +39,13 @@ def scalarize(per_pollutant: np.ndarray) -> np.ndarray:
     return normalize_max(per_pollutant).mean(axis=1)
 
 
-def zone_interest_weights(
-    trend_magnitude: np.ndarray,
-    recent_level: np.ndarray,
-    trend_gain: float = DEFAULT_TREND_GAIN,
-    level_gain: float = DEFAULT_LEVEL_GAIN,
-) -> np.ndarray:
-    """Interest weight per zone: 1 + trend_gain * t + level_gain * l, where
-    t and l are the per-zone trend magnitude and recent level, each
-    max-normalized to [0, 1] across zones. Inputs are per-zone scalars."""
+def zone_interest_weights(trend_magnitude: np.ndarray, recent_level: np.ndarray) -> np.ndarray:
+    """Interest weight per zone: 1 + t + l, where t and l are the per-zone
+    trend magnitude and recent level, each max-normalized to [0, 1] across
+    zones. Inputs are per-zone scalars."""
     t = normalize_max(np.abs(np.asarray(trend_magnitude, dtype=np.float64)))
     l = normalize_max(np.asarray(recent_level, dtype=np.float64))
-    return 1.0 + trend_gain * t + level_gain * l
+    return 1.0 + t + l
 
 
 def allocate_budgets(global_budget: float, weights) -> np.ndarray:

@@ -46,11 +46,6 @@ def avg_daily_energy(run: RunResult) -> float:
     return compute_run_metrics(run).avg_daily_energy
 
 
-def detection_rate(run: RunResult) -> float | None:
-    """Fraction of injected events detected, None when none were injected."""
-    return compute_run_metrics(run).detection_rate
-
-
 @dataclass
 class RunMetrics:
     """Headline metrics for one simulated run."""
@@ -69,9 +64,6 @@ class RunMetrics:
     first_death_day: int | None
     median_death_day: float | None
     mean_selected_per_round: float
-
-    def detection_pct(self) -> float | None:
-        return None if self.detection_rate is None else self.detection_rate * 100.0
 
 
 def compute_run_metrics(run: RunResult) -> RunMetrics:

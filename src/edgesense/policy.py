@@ -34,6 +34,8 @@ class PolicyKind(str, enum.Enum):
 
 POLICY_ORDER = [PolicyKind.STATIC, PolicyKind.PERIODIC, PolicyKind.UCB, PolicyKind.ADAPTIVE]
 
+INITIAL_UTILITY = 1.0  # optimistic start so every node gets tried early
+
 
 @dataclass
 class SelectionResult:
@@ -46,10 +48,6 @@ class SelectionResult:
     total_cost: float
     budget: float
 
-    @property
-    def n_selected(self) -> int:
-        return len(self.selected)
-
 
 @dataclass
 class PolicyState:
@@ -57,14 +55,12 @@ class PolicyState:
 
     utilities: np.ndarray       # adaptive: EMA utility per node, in [0, 1]
     ucb_means: np.ndarray       # bandit: mean normalized payoff per node
-    ucb_counts: np.ndarray      # bandit: activation counts per node
 
 
-def make_policy_state(n_nodes: int, initial_utility: float = 1.0) -> PolicyState:
+def make_policy_state(n_nodes: int) -> PolicyState:
     return PolicyState(
-        utilities=np.full(n_nodes, initial_utility, dtype=np.float64),
+        utilities=np.full(n_nodes, INITIAL_UTILITY, dtype=np.float64),
         ucb_means=np.zeros(n_nodes, dtype=np.float64),
-        ucb_counts=np.zeros(n_nodes, dtype=np.int64),
     )
 
 

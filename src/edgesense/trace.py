@@ -2,8 +2,8 @@
 
 A TraceSet is a dense [rounds, zones, pollutants] array of non-negative
 concentrations plus the list of injected events. Hourly traces come from
-CSV files or the synthetic generator; the simulator consumes round-level
-traces produced by linear interpolation.
+CSV files or the synthetic generator and carry no events; build_round_trace
+interpolates them to the round grid the simulator consumes and applies events.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ OU_SIGMA = 0.04            # stationary std of the slow field noise (relative)
 OU_TAU_HOURS = 8.0         # mean-reversion time constant
 
 DEFAULT_EVENT_RATE = 0.4            # events per zone per day
-DEFAULT_EVENT_DURATION = (4, 16)    # rounds, inclusive bounds
-DEFAULT_EVENT_MAGNITUDE = (2.0, 5.0)
+EVENT_DURATION = (4, 16)            # rounds, inclusive bounds
+EVENT_MAGNITUDE = (2.0, 5.0)
 
 CSV_HEADER = ["timestamp", "zone_id", "pollutant", "value"]
 TRACE_EPOCH = datetime(2026, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
@@ -133,11 +133,7 @@ def _parse_timestamp(raw: str, lineno: int) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def load_csv(
-    path: str,
-    expected_zones: int | None = None,
-    expected_pollutants: int | None = None,
-) -> TraceSet:
+def load_csv(path: str, expected_zones: int | None = None) -> TraceSet:
     """Read an hourly trace CSV into a TraceSet (one frame per hour).
 
     The file must cover every (zone, pollutant) pair at every hour, with
@@ -187,8 +183,6 @@ def load_csv(
     zone_list = tuple(sorted(zones))
     if expected_zones is not None and len(zone_list) != expected_zones:
         raise TraceError(f"expected {expected_zones} zones, file has {len(zone_list)}")
-    if expected_pollutants is not None and expected_pollutants != N_POLLUTANTS:
-        raise TraceError(f"expected {expected_pollutants} pollutants, this format carries {N_POLLUTANTS}")
 
     values = np.empty((len(hour_list), len(zone_list), N_POLLUTANTS), dtype=np.float64)
     for hi, ts in enumerate(hour_list):
@@ -203,13 +197,13 @@ def load_csv(
     return TraceSet(values=values, zone_ids=zone_list)
 
 
-def write_csv(traces: TraceSet, path: str, start: datetime = TRACE_EPOCH) -> None:
+def write_csv(traces: TraceSet, path: str) -> None:
     """Write an hourly TraceSet in the load_csv schema (one row per cell)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for hi in range(traces.n_rounds):
-            ts = (start + timedelta(hours=hi)).strftime("%Y-%m-%dT%H:%M:%SZ")
+            ts = (TRACE_EPOCH + timedelta(hours=hi)).strftime("%Y-%m-%dT%H:%M:%SZ")
             for zi, zone in enumerate(traces.zone_ids):
                 for pol in POLLUTANTS:
                     writer.writerow([ts, zone, pol.value, repr(float(traces.values[hi, zi, POLLUTANT_INDEX[pol]]))])
@@ -236,7 +230,7 @@ def interpolate(hourly: TraceSet, round_minutes: int) -> TraceSet:
     for j in range(1, factor):
         w = j / factor
         out[j::factor] = hourly.values[:-1] * (1.0 - w) + hourly.values[1:] * w
-    return TraceSet(values=out, zone_ids=hourly.zone_ids, events=list(hourly.events))
+    return TraceSet(values=out, zone_ids=hourly.zone_ids)
 
 
 def fit_rounds(traces: TraceSet, rounds: int) -> TraceSet:
@@ -246,7 +240,7 @@ def fit_rounds(traces: TraceSet, rounds: int) -> TraceSet:
         raise TraceError(f"trace has {traces.n_rounds} rounds, need {rounds}")
     if traces.n_rounds == rounds:
         return traces
-    return TraceSet(values=traces.values[:rounds], zone_ids=traces.zone_ids, events=list(traces.events))
+    return TraceSet(values=traces.values[:rounds], zone_ids=traces.zone_ids)
 
 
 # --- synthesis --------------------------------------------------------------
@@ -260,14 +254,7 @@ def hours_needed(cfg: SimConfig) -> int:
     return math.ceil((cfg.rounds - 1) / factor) + 1
 
 
-def generate_synthetic(
-    cfg: SimConfig,
-    rng_seed: int | None = None,
-    amplitude: float = DIURNAL_AMPLITUDE,
-    ou_sigma: float = OU_SIGMA,
-    ou_tau_hours: float = OU_TAU_HOURS,
-    zone_spread: float = ZONE_SPREAD,
-) -> TraceSet:
+def generate_synthetic(cfg: SimConfig, rng_seed: int | None = None) -> TraceSet:
     """Synthesize an hourly trace: diurnal sinusoid with a zone-specific
     phase plus slow mean-reverting noise, clipped at zero."""
     seed = cfg.seed if rng_seed is None else rng_seed
@@ -276,7 +263,7 @@ def generate_synthetic(
     n_zones = cfg.n_zones
 
     zone_phase = rng.uniform(0.0, 24.0, size=n_zones)
-    base_factor = 1.0 + zone_spread * rng.uniform(-1.0, 1.0, size=(n_zones, N_POLLUTANTS))
+    base_factor = 1.0 + ZONE_SPREAD * rng.uniform(-1.0, 1.0, size=(n_zones, N_POLLUTANTS))
     noise = rng.standard_normal(size=(n_hours, n_zones, N_POLLUTANTS))
 
     base = np.array([BASE_LEVELS[p] for p in POLLUTANTS]) * base_factor  # [Z, P]
@@ -289,12 +276,12 @@ def generate_synthetic(
         * (hours[:, None, None] - peak[None, None, :] - zone_phase[None, :, None])
         / 24.0
     )
-    diurnal = 1.0 + amplitude * np.cos(angle)
+    diurnal = 1.0 + DIURNAL_AMPLITUDE * np.cos(angle)
 
-    rho = math.exp(-1.0 / ou_tau_hours)
-    innovation = math.sqrt(1.0 - rho * rho) * ou_sigma
+    rho = math.exp(-1.0 / OU_TAU_HOURS)
+    innovation = math.sqrt(1.0 - rho * rho) * OU_SIGMA
     ou = np.empty_like(noise)
-    ou[0] = ou_sigma * noise[0]
+    ou[0] = OU_SIGMA * noise[0]
     for h in range(1, n_hours):
         ou[h] = rho * ou[h - 1] + innovation * noise[h]
 
@@ -310,10 +297,7 @@ def draw_events(
     n_zones: int,
     rounds_per_day: int,
     rate_per_zone_day: float = DEFAULT_EVENT_RATE,
-    duration_range: tuple[int, int] = DEFAULT_EVENT_DURATION,
-    magnitude_range: tuple[float, float] = DEFAULT_EVENT_MAGNITUDE,
     rng_seed: int = 0,
-    zone_ids: tuple[int, ...] | None = None,
 ) -> list[EventSpec]:
     """Draw pollution episodes with memoryless arrivals per zone.
 
@@ -322,14 +306,13 @@ def draw_events(
     """
     if rate_per_zone_day < 0:
         raise TraceError(f"event rate must be >= 0, got {rate_per_zone_day}")
-    zone_ids = tuple(range(n_zones)) if zone_ids is None else zone_ids
     rng = stream(rng_seed, STREAM_EVENTS)
     per_round_rate = rate_per_zone_day / rounds_per_day
-    lo_d, hi_d = duration_range
-    lo_m, hi_m = magnitude_range
+    lo_d, hi_d = EVENT_DURATION
+    lo_m, hi_m = EVENT_MAGNITUDE
     raw: list[EventSpec] = []
     if per_round_rate > 0:
-        for zone in zone_ids:
+        for zone in range(n_zones):
             t = rng.exponential(1.0 / per_round_rate)
             while t < n_rounds:
                 start = int(t)
@@ -396,28 +379,6 @@ def apply_events(traces: TraceSet, events: list[EventSpec]) -> TraceSet:
     )
 
 
-def inject_events(
-    traces: TraceSet,
-    rate_per_zone_day: float = DEFAULT_EVENT_RATE,
-    duration_range: tuple[int, int] = DEFAULT_EVENT_DURATION,
-    magnitude_range: tuple[float, float] = DEFAULT_EVENT_MAGNITUDE,
-    rng_seed: int = 0,
-    rounds_per_day: int = 96,
-) -> TraceSet:
-    """Draw and apply events on a round-level trace. Deterministic per seed."""
-    events = draw_events(
-        traces.n_rounds,
-        traces.n_zones,
-        rounds_per_day,
-        rate_per_zone_day,
-        duration_range,
-        magnitude_range,
-        rng_seed,
-        zone_ids=traces.zone_ids,
-    )
-    return apply_events(traces, events)
-
-
 # --- event CSV ----------------------------------------------------------------
 
 EVENT_HEADER = ["zone_id", "start_round", "end_round", "pollutant", "magnitude"]
@@ -460,17 +421,18 @@ def build_round_trace(
 
     The result is positional, as the engine requires: zone ids become
     0..Z-1 in the hourly trace's zone order, and events are relabelled to
-    match. An event on a zone the trace lacks raises TraceError.
+    match. An event on a zone the trace lacks raises TraceError, and so
+    does an hourly trace that carries events (their windows would be
+    read in hours on the round grid).
     """
+    if hourly.events:
+        raise TraceError("hourly traces carry no events; pass them to build_round_trace in rounds")
     position = {z: i for i, z in enumerate(hourly.zone_ids)}
     events = list(events or [])
     unknown = sorted({ev.zone_id for ev in events} - position.keys())
     if unknown:
         raise TraceError(f"events name zone ids the trace lacks: {unknown}")
 
-    def relabel(evs):
-        return [replace(ev, zone_id=position[ev.zone_id]) for ev in evs]
-
     rounds = fit_rounds(interpolate(hourly, cfg.round_minutes), cfg.rounds)
-    rounds = TraceSet(values=rounds.values, zone_ids=tuple(range(rounds.n_zones)), events=relabel(rounds.events))
-    return apply_events(rounds, relabel(events)) if events else rounds
+    rounds = TraceSet(values=rounds.values, zone_ids=tuple(range(rounds.n_zones)))
+    return apply_events(rounds, [replace(ev, zone_id=position[ev.zone_id]) for ev in events]) if events else rounds

@@ -1,0 +1,63 @@
+"""The benchmark's contract with the package, checked without changing it.
+
+perfbench/ wraps package attributes by name (layers.TARGETS), pins golden
+digests per workload (golden.json) and times each run by patching
+cli.run_simulation. A rename or a bit drift breaks the benchmark
+silently; these tests make it fail the suite as well.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from edgesense import cli, trace
+from edgesense.core import SimConfig
+from edgesense.policy import POLICY_ORDER
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/run.py, imported with its sibling modules."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(PERFBENCH, "run.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH)
+    return module
+
+
+def test_every_traced_target_resolves_to_a_callable(bench):
+    layers = bench.layers
+    missing = [f"{owner}.{attr}" for _, owner, attr in layers.TARGETS
+               if not callable(getattr(layers._resolve(owner), attr, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", ["desk", "city", "replay"])
+def test_golden_digests_hold(bench, name, tmp_path):
+    # golden digests, run invariants, the detection oracle and save/load
+    checks = bench.ck.Checks()
+    bench.check_golden(checks, bench.wl.WORKLOADS[name], str(tmp_path))
+    assert checks.failures == []
+    assert checks.attempted > 0
+
+
+def test_comparison_routes_every_run_through_the_cli_attribute(monkeypatch):
+    cfg = SimConfig(n_zones=2, nodes_per_zone=2, rounds=24, round_minutes=60)
+    traces = trace.build_round_trace(cfg, trace.generate_synthetic(cfg))
+    calls = []
+    original = cli.run_simulation
+
+    def counting(cfg, traces, policy_kind, seed=None):
+        calls.append((policy_kind, seed))
+        return original(cfg, traces, policy_kind, seed=seed)
+
+    monkeypatch.setattr(cli, "run_simulation", counting)
+    cli.run_comparison(cfg, traces, POLICY_ORDER, [1, 2])
+    assert calls == [(k, s) for k in POLICY_ORDER for s in (1, 2)]

@@ -17,7 +17,6 @@ from edgesense.core import (
 )
 from edgesense.engine import (
     FEEDBACK_SCALE_FLOOR,
-    INITIAL_UTILITY,
     K_DEVIATION,
     ObservationState,
     _NoiseSource,
@@ -29,7 +28,7 @@ from edgesense.engine import (
     sensor_reading,
     write_round_log_csv,
 )
-from edgesense.policy import POLICY_ORDER
+from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER
 from edgesense.trace import EventSpec, TraceError, TraceSet
 from oracles import mark_detections, window_mean
 
@@ -237,7 +236,7 @@ class TestRunInvariants:
 
     def test_ucb_bookkeeping(self, runs):
         run = runs["ucb"]
-        assert np.array_equal(run.final_ucb_counts, run.activation_counts)
+        assert np.all(run.final_ucb_means[run.activation_counts == 0] == 0.0)
         assert run.final_ucb_means.min() >= 0.0
         assert run.final_ucb_means.max() <= 1.0
 
@@ -378,9 +377,23 @@ class TestEmptySelection:
 class TestPersistence:
     def test_save_load_roundtrip(self, runs, tmp_path):
         path = tmp_path / "run.json"
-        save_run(runs["adaptive"], str(path))
+        for policy in ("adaptive", "ucb"):
+            run = runs[policy]
+            save_run(run, str(path))
+            loaded = load_run(str(path))
+            assert stable_json(loaded.to_dict()) == stable_json(run.to_dict())
+            assert np.array_equal(loaded.final_utilities, run.final_utilities)
+            assert np.array_equal(loaded.final_ucb_means, run.final_ucb_means)
+        assert np.any(loaded.final_ucb_means > 0.0)
+
+    def test_record_without_learner_state_loads_run_start_state(self, runs, tmp_path):
+        record = runs["ucb"].to_dict()
+        del record["final_utilities"], record["final_ucb_means"]
+        path = tmp_path / "old.json"
+        path.write_text(stable_json(record))
         loaded = load_run(str(path))
-        assert stable_json(loaded.to_dict()) == stable_json(runs["adaptive"].to_dict())
+        assert np.all(loaded.final_utilities == INITIAL_UTILITY)
+        assert np.all(loaded.final_ucb_means == 0.0)
 
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bogus.json"

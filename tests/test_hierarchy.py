@@ -50,12 +50,6 @@ class TestZoneInterestWeights:
         got = zone_interest_weights(np.array([0.0, 4.0]), np.array([3.0, 0.0]))
         assert got.tolist() == [2.0, 2.0]
 
-    def test_gains_scale_the_terms(self):
-        got = zone_interest_weights(
-            np.array([0.0, 4.0]), np.array([3.0, 0.0]), trend_gain=0.5, level_gain=2.0
-        )
-        assert got.tolist() == [3.0, 1.5]
-
     def test_quiet_zones_keep_base_weight(self):
         got = zone_interest_weights(np.zeros(3), np.zeros(3))
         assert got.tolist() == [1.0, 1.0, 1.0]

@@ -15,7 +15,6 @@ from edgesense.metrics import (
     avg_daily_energy,
     compare,
     compute_run_metrics,
-    detection_rate,
     lifetime_estimate,
     percent_change,
     render_json,
@@ -75,7 +74,6 @@ def flat_run(
         n_budgeted_selections=0,
         final_utilities=np.ones(n_nodes),
         final_ucb_means=np.zeros(n_nodes),
-        final_ucb_counts=np.zeros(n_nodes, dtype=np.int64),
     )
 
 
@@ -127,12 +125,10 @@ class TestRunMetrics:
         m = compute_run_metrics(run)
         assert (m.n_events, m.n_detected) == (3, 2)
         assert m.detection_rate == pytest.approx(2 / 3)
-        assert detection_rate(run) == m.detection_rate
 
     def test_no_events_means_no_rate(self):
         m = compute_run_metrics(flat_run("ucb", 1, 50.0))
         assert m.detection_rate is None
-        assert m.detection_pct() is None
 
     def test_death_days_are_one_based(self):
         death = np.array([-1, 0, 95, 96], dtype=np.int64)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edgesense.policy import (
+    INITIAL_UTILITY,
     POLICY_ORDER,
     PolicyKind,
     make_policy_state,
@@ -79,9 +80,9 @@ class TestScoring:
             assert g.tolist() == w
 
     def test_make_policy_state_optimistic_start(self):
-        state = make_policy_state(4, initial_utility=1.0)
-        assert np.all(state.utilities == 1.0)
-        assert np.all(state.ucb_counts == 0)
+        state = make_policy_state(4)
+        assert np.all(state.utilities == INITIAL_UTILITY)
+        assert INITIAL_UTILITY == 1.0
         assert np.all(state.ucb_means == 0.0)
 
 
@@ -145,8 +146,8 @@ class TestSelectBudgeted:
 
     def test_count_follows_budget_not_a_quota(self):
         cands = [(i, 1.0 / (i + 1), 1.0) for i in range(10)]
-        assert select_budgeted(cands, budget=3.0).n_selected == 3
-        assert select_budgeted(cands, budget=7.0).n_selected == 7
+        assert len(select_budgeted(cands, budget=3.0).selected) == 3
+        assert len(select_budgeted(cands, budget=7.0).selected) == 7
 
     def test_matches_naive_reference_on_random_instances(self):
         rng = np.random.default_rng(42)
