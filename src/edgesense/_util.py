@@ -8,13 +8,19 @@ import tempfile
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory plus rename,
-    so readers never observe a partial file."""
+    """Write text to path atomically, as atomic_write_chunks does."""
+    atomic_write_chunks(path, [text])
+
+
+def atomic_write_chunks(path: str, chunks) -> None:
+    """Write an iterable of strings to path, in order, via a temp file in
+    the same directory plus rename, so readers never observe a partial
+    file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -248,7 +248,7 @@ def _cmd_report(args) -> int:
         else:
             out = metrics.render_text(metrics.from_json_dict(d))
     elif fmt == engine.RUN_FORMAT:
-        run = engine.load_run(path)
+        run = engine.run_from_dict(d)
         m = metrics.compute_run_metrics(run)
         if args.format == "json":
             out = stable_json(metrics.to_json_dict(metrics.compare([run])))

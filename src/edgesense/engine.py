@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hierarchy as hier
-from ._util import atomic_write_text, stable_json
+from ._util import atomic_write_chunks, atomic_write_text, stable_json
 from .core import (
     Fleet,
     N_POLLUTANTS,
@@ -33,7 +33,6 @@ from .policy import (
     INITIAL_UTILITY,
     PolicyKind,
     PolicyState,
-    SelectionResult,
     make_policy_state,
     normalized_payoff,
     reward,
@@ -286,13 +285,15 @@ def run_simulation(
     max_energy = float(costs.max())
 
     pulls = np.zeros(n, dtype=np.int64)
+    # nodes that can fund one more activation; only activations change that
+    fundable = costs <= capacity
     death_round = np.full(n, -1, dtype=np.int64)
     state: PolicyState = make_policy_state(n)
 
     node_ids = np.arange(n, dtype=np.int64)
-    zone_slices = [
-        slice(z * cfg.nodes_per_zone, (z + 1) * cfg.nodes_per_zone) for z in range(cfg.n_zones)
-    ]
+    # flat (zone, pollutant) channel of each node's readings, for np.bincount
+    n_channels = cfg.n_zones * N_POLLUTANTS
+    node_channels = zone_of[:, None] * N_POLLUTANTS + np.arange(N_POLLUTANTS)
     global_budget = cfg.budget_fraction * float(costs.sum())
     obs = ObservationState(cfg.n_zones, cfg.rounds_per_day)
 
@@ -310,66 +311,47 @@ def run_simulation(
     n_budgeted = 0
     values = traces.values
     noise = _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day)
-    budgeted = policy_kind in (PolicyKind.UCB, PolicyKind.ADAPTIVE)
-    cost_l = costs.tolist()
 
     for t in range(cfg.rounds):
-        fundable = (pulls + 1) * costs <= capacity
         obs.evict(t)
         merged = obs.merged()  # may hold NaN for never-sampled channels
 
-        # hierarchical budget split from observed context only:
-        # (zone slice, budget) per cluster
-        clusters = []
-        if budgeted:
+        if policy_kind is PolicyKind.STATIC:
+            res = select_static(node_ids[fundable], costs[fundable])
+            sel, budget_total = res.selected, res.budget
+        elif policy_kind is PolicyKind.PERIODIC:
+            res = select_periodic(node_ids[fundable], costs[fundable], t, cfg.periodic_period, cfg.periodic_duty)
+            sel, budget_total = res.selected, res.budget
+        else:
+            # hierarchical budget split from observed context only: one
+            # budget per zone, or the whole fleet as one cluster
             if cfg.hierarchy:
                 trends = np.abs(obs.trend(t))
                 weights = hier.zone_interest_weights(hier.scalarize(trends), hier.scalarize(fill_baseline(merged)))
-                clusters = zip(zone_slices, hier.allocate_budgets(global_budget, weights).tolist())
+                budgets = hier.allocate_budgets(global_budget, weights).tolist()
             else:
-                clusters = [(slice(0, n), global_budget)]
-
-        selections: list[SelectionResult] = []
-        if policy_kind is PolicyKind.STATIC:
-            mask = fundable
-            selections.append(select_static(node_ids[mask], costs[mask]))
-        elif policy_kind is PolicyKind.PERIODIC:
-            mask = fundable
-            selections.append(
-                select_periodic(node_ids[mask], costs[mask], t, cfg.periodic_period, cfg.periodic_duty)
-            )
-        else:
-            # score the fleet once, then run the shared admission kernel per
-            # cluster
+                budgets = [global_budget]
+            # score the fleet once, then admit in every cluster in one call
             if policy_kind is PolicyKind.UCB:
                 scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
                 floor = 0.0
             else:
                 scores = state.utilities / costs
                 floor = cfg.score_floor
-            score_l = scores.tolist()
-            fund_l = fundable.tolist()
-            for sl, budget in clusters:
-                cand = [
-                    (i, score_l[i], cost_l[i])
-                    for i in range(sl.start, sl.stop)
-                    if fund_l[i]
-                ]
-                res = select_budgeted(cand, budget, floor)
-                selections.append(res)
-                n_budgeted += 1
-                max_violation = max(max_violation, res.total_cost - budget)
+            res = select_budgeted(node_ids[fundable], scores, costs, budgets, floor)
+            sel = np.asarray(res.selected, dtype=np.int64)
+            budget_total = float(sum(budgets))
+            n_budgeted += len(budgets)
+            for cost, budget in zip(res.cluster_cost, budgets):
+                max_violation = max(max_violation, cost - budget)
 
-        sel = np.concatenate([np.asarray(r.selected, dtype=np.int64) for r in selections]) \
-            if selections else np.empty(0, dtype=np.int64)
         spent = float(costs[sel].sum()) if sel.size else 0.0
-        budget_total = float(sum(r.budget for r in selections))
 
-        was_fundable = fundable[sel]
+        # every selected node was fundable; it dies once it cannot fund the next activation
         pulls[sel] += 1
         total_spent += spent
-        now_dead = (pulls[sel] + 1) * costs[sel] > capacity
-        newly_dead = sel[was_fundable & now_dead]
+        newly_dead = sel[(pulls[sel] + 1) * costs[sel] > capacity]
+        fundable[newly_dead] = False
         death_round[newly_dead] = t
 
         # readings for activated nodes only; the noise layout covers the whole
@@ -378,11 +360,12 @@ def run_simulation(
         sel_zones = zone_of[sel]
         measured = sensor_reading(values[t][sel_zones, :], eps[sel, :], cfg.noise_sigma)  # [n_sel, P]
 
-        cur_sum = np.zeros((cfg.n_zones, N_POLLUTANTS))
-        cur_cnt = np.zeros((cfg.n_zones, N_POLLUTANTS))
-        if sel.size:
-            np.add.at(cur_sum, sel_zones, measured)
-            np.add.at(cur_cnt, sel_zones, 1.0)
+        # per-channel sums add each channel's readings in selection order; an
+        # empty round's bincount comes back as integers, hence the casts
+        channels = node_channels[sel].ravel()
+        cur_sum = np.bincount(channels, measured.ravel(), n_channels).astype(np.float64, copy=False)
+        cur_sum = cur_sum.reshape(cfg.n_zones, N_POLLUTANTS)
+        cur_cnt = np.bincount(channels, None, n_channels).astype(np.float64).reshape(cfg.n_zones, N_POLLUTANTS)
         cur_mean = np.divide(cur_sum, cur_cnt, out=np.full_like(cur_sum, np.nan), where=cur_cnt > 0)
 
         bl = fill_baseline(merged, cur_mean)
@@ -449,14 +432,20 @@ def save_run(run: RunResult, path: str) -> None:
 
 
 def load_run(path: str) -> RunResult:
-    """Rehydrate a RunResult written by save_run. A record written before
-    the final learner state was saved loads with the run-start state."""
-    from .core import Pollutant
-
+    """Rehydrate a RunResult written by save_run."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
     if d.get("format") != RUN_FORMAT:
         raise ValueError(f"unsupported run format {d.get('format')!r} in {path}")
+    return run_from_dict(d)
+
+
+def run_from_dict(d: dict) -> RunResult:
+    """Rebuild a RunResult from a parsed record of format RUN_FORMAT. A
+    record written before the final learner state was saved loads with the
+    run-start state."""
+    from .core import Pollutant
+
     n = len(d["energy_cost"])
     logs = [
         RoundLog(
@@ -497,24 +486,24 @@ def load_run(path: str) -> RunResult:
 
 
 def write_round_log_csv(run: RunResult, path: str) -> None:
-    """Stream the per-round log to CSV, one row per (round, node), with a
-    selected flag so unselected nodes appear with zero spend."""
-    import csv as _csv
-    import io
+    """Write the per-round log as CSV, one row per (round, node), with a
+    selected flag so unselected nodes appear with zero spend. run.policy is
+    a policy name, which needs no CSV quoting."""
+    # every row is the round number and a per-node tail: the idle tails and
+    # the active ones up to the feedback column are formatted once
+    idle, active = [], []
+    for node, (zone, cost) in enumerate(zip(run.zone_of.tolist(), run.energy_cost.tolist())):
+        idle.append(f",{run.policy},{zone},{node},0,0.0,\n")
+        active.append(f",{run.policy},{zone},{node},1,{cost!r},")
 
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["round", "policy", "zone", "node", "selected", "spent_mAh", "feedback"])
-    n = run.n_nodes
-    for lg in run.logs:
-        sel_set = {int(i): k for k, i in enumerate(lg.selected)}
-        for node in range(n):
-            k = sel_set.get(node)
-            if k is None:
-                writer.writerow([lg.round_index, run.policy, int(run.zone_of[node]), node, 0, 0.0, ""])
-            else:
-                writer.writerow(
-                    [lg.round_index, run.policy, int(run.zone_of[node]), node, 1,
-                     repr(float(run.energy_cost[node])), repr(float(lg.feedback[k]))]
-                )
-    atomic_write_text(path, buf.getvalue())
+    def chunks():
+        # one round at a time, so the whole log is never held in memory
+        yield "round,policy,zone,node,selected,spent_mAh,feedback\n"
+        for lg in run.logs:
+            rows = idle.copy()
+            for node, fb in zip(lg.selected.tolist(), lg.feedback.tolist()):
+                rows[node] = f"{active[node]}{fb!r}\n"
+            r = str(lg.round_index)
+            yield r + r.join(rows)
+
+    atomic_write_chunks(path, chunks())

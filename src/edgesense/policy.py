@@ -39,14 +39,22 @@ INITIAL_UTILITY = 1.0  # optimistic start so every node gets tried early
 
 @dataclass
 class SelectionResult:
-    """Outcome of one selection pass: node ids in admission order, their
-    summed energy cost, and the budget the selector saw. selected is a
-    sequence of ints (plain list from the ranked selectors, numpy array
-    from the vectorized ones)."""
+    """Outcome of a fixed-schedule selection pass: node ids in admission
+    order, their summed energy cost, and the budget the selector reports."""
 
-    selected: "list[int] | np.ndarray"
+    selected: np.ndarray
     total_cost: float
     budget: float
+
+
+@dataclass
+class BudgetedSelection:
+    """Outcome of one round of budgeted admission over every cluster: the
+    admitted node ids, cluster by cluster and each cluster's in admission
+    order, and the energy cost admitted in each cluster."""
+
+    selected: list[int]
+    cluster_cost: list[float]
 
 
 @dataclass
@@ -91,33 +99,58 @@ def update_utility(utility, feedback, eta: float):
 
 def select_budgeted(
     candidates,
-    budget: float,
+    scores,
+    costs,
+    budgets,
     score_floor: float = 0.0,
-) -> SelectionResult:
-    """Greedy budgeted selection with skip.
+) -> BudgetedSelection:
+    """Greedy budgeted selection with skip, for every cluster of a round.
 
-    candidates: sequence of (node_id, score, energy_cost) triples, all with
-    positive cost. Candidates are scanned in score-descending order (ties by
-    ascending node id); each is admitted if its score reaches the floor and
-    its cost fits the remaining budget. A candidate that does not fit is
-    skipped without ending the scan, so cheaper lower-ranked candidates can
-    still use the leftover budget. The selected count is whatever the budget
-    allows, never a fixed quota.
+    The fleet's nodes form len(budgets) clusters of equal width laid out as
+    contiguous id blocks, and cluster k may spend budgets[k], which must be
+    finite and non-negative. candidates holds the ids of the nodes that may
+    be admitted at all; scores and costs hold one entry per fleet node,
+    every cost positive. In each cluster the nodes are scanned in
+    score-descending order (ties by ascending node id); a candidate is
+    admitted if its score reaches the floor and its cost fits the cluster's
+    remaining budget. A candidate that does not fit is skipped without
+    ending the scan, so cheaper lower-ranked candidates can still use the
+    leftover budget. The selected count is whatever the budget allows, never
+    a fixed quota.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    ordered = sorted(candidates, key=lambda c: (-c[1], c[0]))
+    if not 0 <= min(budgets) <= max(budgets) < math.inf:
+        raise ValueError(f"budgets must be finite and >= 0, got {budgets}")
+    scores = np.asarray(scores, dtype=np.float64)
+    costs = np.asarray(costs, dtype=np.float64)
+    n, n_clusters = costs.size, len(budgets)
+    if n % n_clusters:
+        raise ValueError(f"{n} nodes do not split into {n_clusters} equal clusters")
+    width = n // n_clusters
+    eligible = np.zeros(n, dtype=bool)
+    eligible[np.asarray(candidates, dtype=np.int64)] = True
+    eligible &= scores >= score_floor
+    # an ineligible node costs +inf, so it never fits
+    fit_cost = np.where(eligible, costs, math.inf)
+    # stable sort of the negated scores: descending, lower id first on ties
+    order = np.argsort(-scores.reshape(n_clusters, width), axis=1, kind="stable")
+    order += np.arange(0, n, width, dtype=np.int64)[:, None]
+    # once the remaining budget is below the cheapest cost nothing else fits
+    cheapest = float(costs.min(initial=math.inf))
     selected: list[int] = []
-    total = 0.0
-    remaining = budget
-    for node_id, cand_score, cost in ordered:
-        if cand_score < score_floor:
-            continue
-        if cost <= remaining:
-            selected.append(node_id)
-            total += cost
-            remaining -= cost
-    return SelectionResult(selected=selected, total_cost=total, budget=budget)
+    admit = selected.append
+    cluster_cost: list[float] = []
+    for ids, cost, budget in zip(order.tolist(), fit_cost[order].tolist(), budgets):
+        total = 0.0
+        remaining = budget
+        for node_id, c in zip(ids, cost):
+            if c <= remaining:
+                admit(node_id)
+                total += c
+                remaining -= c
+                if remaining < cheapest:
+                    break
+        cluster_cost.append(total)
+    return BudgetedSelection(selected=selected, cluster_cost=cluster_cost)
 
 
 def select_static(node_ids, energy_cost) -> SelectionResult:

@@ -1,11 +1,14 @@
 """Reference implementations the production code is checked against.
 
 These are deliberately slow and literal: a quadratic selection loop, a
-dictionary-based trailing window, a scalar UCB index and a per-event
-detection replay over the round logs. When a test disagrees with the fast
+dictionary-based trailing window, a scalar UCB index, a per-event
+detection replay over the round logs and a round-log CSV written row by
+row through the csv module. When a test disagrees with the fast
 path, the bug should be easy to localize here.
 """
 
+import csv
+import io
 import math
 
 
@@ -66,3 +69,24 @@ def mark_detections(run, threshold=None):
             if in_zone.any() and lg.feedback[in_zone].max() >= threshold:
                 flags[idx] = True
     return flags
+
+
+def round_log_csv(run):
+    """The per-round log as CSV text, one csv.writer row per (round, node):
+    selected flag, spend and feedback for activated nodes, zero spend and
+    no feedback for the rest."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["round", "policy", "zone", "node", "selected", "spent_mAh", "feedback"])
+    for lg in run.logs:
+        sel_set = {int(i): k for k, i in enumerate(lg.selected)}
+        for node in range(run.n_nodes):
+            k = sel_set.get(node)
+            if k is None:
+                writer.writerow([lg.round_index, run.policy, int(run.zone_of[node]), node, 0, 0.0, ""])
+            else:
+                writer.writerow(
+                    [lg.round_index, run.policy, int(run.zone_of[node]), node, 1,
+                     repr(float(run.energy_cost[node])), repr(float(lg.feedback[k]))]
+                )
+    return buf.getvalue()

@@ -29,8 +29,8 @@ from edgesense.engine import (
     write_round_log_csv,
 )
 from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER
-from edgesense.trace import EventSpec, TraceError, TraceSet
-from oracles import mark_detections, window_mean
+from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
+from oracles import mark_detections, round_log_csv, window_mean
 
 
 class TestSensorReading:
@@ -320,6 +320,38 @@ class TestBatteryDepletion:
         for lg in run.logs:
             for node in lg.selected:
                 assert lg.round_index <= run.death_round[node]
+
+    @pytest.fixture(scope="class")
+    def drained_runs(self):
+        """3 zones x 3 nodes on a battery that runs flat within about 200
+        rounds, one run per policy."""
+        cfg = SimConfig(n_zones=3, nodes_per_zone=3, rounds=360, round_minutes=60, battery_capacity=150.0, seed=3)
+        traces = build_round_trace(cfg, generate_synthetic(cfg, rng_seed=cfg.seed))
+        return {kind.value: run_simulation(cfg, traces, kind) for kind in POLICY_ORDER}
+
+    def test_only_fundable_nodes_are_selected(self, drained_runs):
+        for run in drained_runs.values():
+            capacity = run.config["battery_capacity"]
+            pulls = np.zeros(run.n_nodes, dtype=np.int64)
+            last_round = np.full(run.n_nodes, -1, dtype=np.int64)
+            for lg in run.logs:
+                sel = lg.selected
+                assert np.all((pulls[sel] + 1) * run.energy_cost[sel] <= capacity)
+                pulls[sel] += 1
+                last_round[sel] = lg.round_index
+            assert np.array_equal(pulls, run.activation_counts)
+            # a node dies in the round of the activation after which it cannot fund another
+            dead = (run.activation_counts + 1) * run.energy_cost > capacity
+            assert np.array_equal(run.death_round, np.where(dead, last_round, -1))
+        assert np.all(drained_runs["static"].death_round >= 0)
+        assert drained_runs["static"].death_round.max() < 200
+
+    def test_round_log_matches_the_csv_module(self, drained_runs, tmp_path):
+        path = tmp_path / "rounds.csv"
+        for run in drained_runs.values():
+            assert any(len(lg.selected) == 0 for lg in run.logs)
+            write_round_log_csv(run, str(path))
+            assert path.read_bytes() == round_log_csv(run).encode("utf-8")
 
 
 class TestDetection:

@@ -109,45 +109,60 @@ class TestNormalizedPayoff:
 
 class TestSelectBudgeted:
     def test_skip_expensive_then_fill_with_cheaper(self):
-        cands = [(0, 5.0, 10.0), (1, 4.0, 3.0), (2, 3.0, 2.0)]
-        res = select_budgeted(cands, budget=6.0)
-        assert list(res.selected) == [1, 2]
-        assert res.total_cost == pytest.approx(5.0)
-        assert res.budget == 6.0
+        res = select_budgeted([0, 1, 2], [5.0, 4.0, 3.0], [10.0, 3.0, 2.0], [6.0])
+        assert res.selected == [1, 2]
+        assert res.cluster_cost == [pytest.approx(5.0)]
 
     def test_score_ties_break_by_lower_id(self):
-        cands = [(2, 1.0, 1.0), (0, 1.0, 1.0), (1, 1.0, 1.0)]
-        res = select_budgeted(cands, budget=2.0)
-        assert list(res.selected) == [0, 1]
+        res = select_budgeted([2, 0, 1], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0])
+        assert res.selected == [0, 1]
 
     def test_floor_excludes_low_scores(self):
-        cands = [(0, 0.5, 1.0), (1, 0.11, 1.0)]
-        res = select_budgeted(cands, budget=5.0, score_floor=0.12)
-        assert list(res.selected) == [0]
+        res = select_budgeted([0, 1], [0.5, 0.11], [1.0, 1.0], [5.0], score_floor=0.12)
+        assert res.selected == [0]
 
     def test_floor_is_inclusive(self):
-        res = select_budgeted([(0, 0.12, 1.0)], budget=5.0, score_floor=0.12)
-        assert list(res.selected) == [0]
+        res = select_budgeted([0], [0.12], [1.0], [5.0], score_floor=0.12)
+        assert res.selected == [0]
 
     def test_zero_budget_selects_nothing(self):
-        res = select_budgeted([(0, 1.0, 0.5)], budget=0.0)
-        assert list(res.selected) == []
-        assert res.total_cost == 0.0
+        res = select_budgeted([0], [1.0], [0.5], [0.0])
+        assert res.selected == []
+        assert res.cluster_cost == [0.0]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            select_budgeted([], budget=-1.0)
+            select_budgeted([], [], [], [-1.0])
+
+    def test_infinite_budget_rejected(self):
+        with pytest.raises(ValueError):
+            select_budgeted([0], [1.0], [1.0], [math.inf])
 
     def test_exact_fit_admits_everything(self):
-        cands = [(0, 3.0, 1.5), (1, 2.0, 2.5)]
-        res = select_budgeted(cands, budget=4.0)
-        assert list(res.selected) == [0, 1]
-        assert res.total_cost == 4.0
+        res = select_budgeted([0, 1], [3.0, 2.0], [1.5, 2.5], [4.0])
+        assert res.selected == [0, 1]
+        assert res.cluster_cost == [4.0]
 
     def test_count_follows_budget_not_a_quota(self):
-        cands = [(i, 1.0 / (i + 1), 1.0) for i in range(10)]
-        assert len(select_budgeted(cands, budget=3.0).selected) == 3
-        assert len(select_budgeted(cands, budget=7.0).selected) == 7
+        scores = [1.0 / (i + 1) for i in range(10)]
+        costs = [1.0] * 10
+        assert len(select_budgeted(range(10), scores, costs, [3.0]).selected) == 3
+        assert len(select_budgeted(range(10), scores, costs, [7.0]).selected) == 7
+
+    def test_only_candidates_are_admitted(self):
+        res = select_budgeted([1, 3], [4.0, 3.0, 2.0, 1.0], [1.0] * 4, [10.0])
+        assert res.selected == [1, 3]
+
+    def test_each_cluster_spends_its_own_budget(self):
+        # two clusters of three: ids 0-2 may spend 2.0, ids 3-5 may spend 1.0
+        scores = [1.0, 3.0, 2.0, 1.0, 3.0, 2.0]
+        res = select_budgeted(range(6), scores, [1.0] * 6, [2.0, 1.0])
+        assert res.selected == [1, 2, 4]
+        assert res.cluster_cost == [2.0, 1.0]
+
+    def test_clusters_must_split_the_fleet_evenly(self):
+        with pytest.raises(ValueError):
+            select_budgeted(range(5), [1.0] * 5, [1.0] * 5, [1.0, 1.0])
 
     def test_matches_naive_reference_on_random_instances(self):
         rng = np.random.default_rng(42)
@@ -158,9 +173,49 @@ class TestSelectBudgeted:
             budget = float(rng.uniform(0.0, costs.sum()))
             floor = float(rng.choice([0.0, 0.12, 0.5]))
             cands = list(zip(range(n), scores.tolist(), costs.tolist()))
-            got = select_budgeted(cands, budget, floor)
-            assert list(got.selected) == naive_budget_selection(cands, budget, floor)
-            assert got.total_cost <= budget + 1e-12
+            got = select_budgeted(range(n), scores, costs, [budget], floor)
+            assert got.selected == naive_budget_selection(cands, budget, floor)
+            assert got.cluster_cost[0] <= budget + 1e-12
+
+    @given(data=st.data())
+    def test_clusters_match_the_naive_reference_cluster_by_cluster(self, data):
+        n_clusters = data.draw(st.integers(1, 4))
+        width = data.draw(st.integers(1, 8))
+        n = n_clusters * width
+        floor = data.draw(st.sampled_from([0.0, 0.12, 0.5]))
+        # untried UCB arms score +inf; scores on the floor must be admitted
+        scores = data.draw(st.lists(st.sampled_from([math.inf, floor, 0.0, 0.5]) | st.floats(0.0, 2.0),
+                                    min_size=n, max_size=n))
+        costs = data.draw(st.lists(st.sampled_from([0.1, 0.25, 0.75, 1.3]) | st.floats(0.05, 2.0),
+                                   min_size=n, max_size=n))
+        candidates = [i for i in range(n) if data.draw(st.booleans())]
+        budgets = []
+        for k in range(n_clusters):
+            block = costs[k * width:(k + 1) * width]
+            kind = data.draw(st.sampled_from(["zero", "running_sum", "any"]))
+            if kind == "zero":
+                budgets.append(0.0)
+            elif kind == "running_sum":
+                budget = 0.0
+                for c in data.draw(st.permutations(block))[:data.draw(st.integers(0, width))]:
+                    budget += c
+                budgets.append(budget)
+            else:
+                budgets.append(data.draw(st.floats(0.0, sum(block) + 1.0)))
+
+        got = select_budgeted(candidates, scores, costs, budgets, floor)
+
+        want, want_cost = [], []
+        for k, budget in enumerate(budgets):
+            cands = [(i, scores[i], costs[i]) for i in candidates if i // width == k]
+            picked = naive_budget_selection(cands, budget, floor)
+            total = 0.0
+            for i in picked:
+                total += costs[i]
+            want += picked
+            want_cost.append(total)
+        assert got.selected == want
+        assert got.cluster_cost == want_cost
 
 
 class TestSelectStatic:
@@ -208,10 +263,9 @@ class TestSelectPeriodic:
 
 
 def ranked_select(scores, costs, budget, score_floor=0.0):
-    """Budgeted admission over per-node scores, candidates built the way the
-    engine builds them for one cluster."""
-    cands = zip(range(len(costs)), np.asarray(scores).tolist(), np.asarray(costs, dtype=float).tolist())
-    return select_budgeted(list(cands), budget, score_floor)
+    """Budgeted admission over per-node scores, every node a candidate in
+    one cluster."""
+    return select_budgeted(range(len(costs)), scores, costs, [budget], score_floor)
 
 
 class TestUcb:
