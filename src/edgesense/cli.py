@@ -239,25 +239,32 @@ def _cmd_report(args) -> int:
         path = os.path.join(path, "summary.json")
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    fmt = d.get("format", "")
-    if fmt == "edgesense-comparison/1":
-        if args.format == "json":
-            out = stable_json(d)
-        elif args.format == "csv":
-            out = metrics.render_summary_csv(metrics.from_json_dict(d))
+    # a malformed record fails somewhere in parsing or in the metrics; it is
+    # reported against its file here, in one place
+    try:
+        fmt = d.get("format", "")
+        if fmt == "edgesense-comparison/1":
+            if args.format == "json":
+                out = stable_json(d)
+            elif args.format == "csv":
+                out = metrics.render_summary_csv(metrics.from_json_dict(d))
+            else:
+                out = metrics.render_text(metrics.from_json_dict(d))
+        elif fmt == engine.RUN_FORMAT:
+            run = engine.run_from_dict(d)
+            m = metrics.compute_run_metrics(run)
+            if args.format == "json":
+                out = stable_json(metrics.to_json_dict(metrics.compare([run])))
+            elif args.format == "csv":
+                out = metrics.render_per_seed_csv(metrics.compare([run]))
+            else:
+                out = _run_metrics_text(m) + "\n"
         else:
-            out = metrics.render_text(metrics.from_json_dict(d))
-    elif fmt == engine.RUN_FORMAT:
-        run = engine.run_from_dict(d)
-        m = metrics.compute_run_metrics(run)
-        if args.format == "json":
-            out = stable_json(metrics.to_json_dict(metrics.compare([run])))
-        elif args.format == "csv":
-            out = metrics.render_per_seed_csv(metrics.compare([run]))
-        else:
-            out = _run_metrics_text(m) + "\n"
-    else:
-        raise TraceError(f"{path}: unrecognized format {fmt!r}")
+            raise TraceError(f"{path}: unrecognized format {fmt!r}")
+    except KeyError as exc:
+        raise TraceError(f"{path}: missing key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise TraceError(f"{path}: malformed record: {exc}") from None
     if args.out:
         atomic_write_text(args.out, out)
         print(f"wrote {args.out}")

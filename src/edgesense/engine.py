@@ -64,7 +64,8 @@ def feedback_proxy(measured, baseline):
     baseline, relative to K_DEVIATION times the baseline (floored at
     FEEDBACK_SCALE_FLOOR). Scalars or arrays."""
     scale = np.maximum(baseline, FEEDBACK_SCALE_FLOOR)
-    return np.clip(np.abs(measured - baseline) / (K_DEVIATION * scale), 0.0, 1.0)
+    # the ratio is never negative, so capping it at 1 is the whole clip
+    return np.minimum(np.abs(measured - baseline) / (K_DEVIATION * scale), 1.0)
 
 
 def fill_baseline(merged: np.ndarray, current_mean: np.ndarray | None = None) -> np.ndarray:
@@ -174,26 +175,32 @@ class ObservationState:
         self.win_sum = np.zeros((n_zones, N_POLLUTANTS))
         self.win_cnt = np.zeros((n_zones, N_POLLUTANTS))
         self.first_obs = np.full((n_zones, N_POLLUTANTS), np.nan)
+        self.unseen = n_zones * N_POLLUTANTS  # channels without a first observation
         self.tb_values = np.full((TREND_WINDOW, n_zones, N_POLLUTANTS), np.nan)
         self.tb_round = np.full(TREND_WINDOW, -1, dtype=np.int64)
+        # NaN cells per trend slot and in the whole trend window
+        self.tb_nan = [n_zones * N_POLLUTANTS] * TREND_WINDOW
+        self.n_nan = TREND_WINDOW * n_zones * N_POLLUTANTS
 
     def merged(self) -> np.ndarray:
         """Windowed mean per (zone, pollutant), first observation where the
-        window is empty, NaN where the channel was never sampled."""
+        window is empty, NaN where the channel was never sampled (only while
+        `unseen` is non-zero)."""
         return np.divide(self.win_sum, self.win_cnt, out=self.first_obs.copy(), where=self.win_cnt > 0)
 
     def trend(self, now: int) -> np.ndarray:
         """Slope per (zone, pollutant) over the trend window, zero when there
         are fewer than two observations."""
         x = (self.tb_round - now).astype(np.float64)
-        if self.tb_round.min() >= 0 and not np.isnan(self.tb_values).any():
-            # full window, every channel sampled: closed-form with scalar x stats
+        if self.n_nan == 0:
+            # every slot starts as NaN, so no NaN left means a full window
+            # with every channel sampled: closed form with scalar x stats
             k = float(TREND_WINDOW)
             sx = x.sum()
             sxx = float(x @ x)
             denom = k * sxx - sx * sx
             sy = self.tb_values.sum(axis=0)
-            sxy = np.tensordot(x, self.tb_values, axes=(0, 0))
+            sxy = np.dot(x, self.tb_values.reshape(TREND_WINDOW, -1)).reshape(sy.shape)
             return (k * sxy - sx * sy) / denom
         valid = ~np.isnan(self.tb_values)
         n = valid.sum(axis=0)
@@ -224,11 +231,17 @@ class ObservationState:
         self.ring_cnt[slot] = cur_cnt
         self.win_sum += cur_sum
         self.win_cnt += cur_cnt
-        fresh = np.isnan(self.first_obs) & (cur_cnt > 0)
-        self.first_obs[fresh] = cur_mean[fresh]
+        if self.unseen:
+            fresh = np.isnan(self.first_obs) & (cur_cnt > 0)
+            self.first_obs[fresh] = cur_mean[fresh]
+            self.unseen -= int(np.count_nonzero(fresh))
         tslot = now % TREND_WINDOW
         self.tb_values[tslot] = cur_mean
         self.tb_round[tslot] = now
+        # a dark zone brings NaN back into a full window, so count it every round
+        n_nan = int(np.count_nonzero(np.isnan(cur_mean)))
+        self.n_nan += n_nan - self.tb_nan[tslot]
+        self.tb_nan[tslot] = n_nan
 
 
 class _NoiseSource:
@@ -291,19 +304,28 @@ def run_simulation(
     state: PolicyState = make_policy_state(n)
 
     node_ids = np.arange(n, dtype=np.int64)
+    # the round's candidates change only when a node dies; a static run logs
+    # cand_ids itself as each round's selection, so it is never written to
+    cand_ids, cand_costs = node_ids[fundable], costs[fundable]
     # flat (zone, pollutant) channel of each node's readings, for np.bincount
-    n_channels = cfg.n_zones * N_POLLUTANTS
+    n_zones = cfg.n_zones
+    n_channels = n_zones * N_POLLUTANTS
     node_channels = zone_of[:, None] * N_POLLUTANTS + np.arange(N_POLLUTANTS)
+    no_mean = np.full((n_zones, N_POLLUTANTS), np.nan)
     global_budget = cfg.budget_fraction * float(costs.sum())
-    obs = ObservationState(cfg.n_zones, cfg.rounds_per_day)
+    # zone context for the budget split: |trend| and level, stacked for one scalarize pass
+    context = np.empty((n_zones, 2, N_POLLUTANTS))
+    obs = ObservationState(n_zones, cfg.rounds_per_day)
+    floor = cfg.score_floor if policy_kind is PolicyKind.ADAPTIVE else 0.0
 
     events = list(traces.events)
     detected = [False] * len(events)
     detect_round = [-1] * len(events)
-    active_by_round: list[list[int]] = [[] for _ in range(cfg.rounds)]
+    # the rounds in which some event is live, with the events live in each
+    live_events: dict[int, list[int]] = {}
     for idx, ev in enumerate(events):
         for r in range(ev.start_round, min(ev.end_round, cfg.rounds)):
-            active_by_round[r].append(idx)
+            live_events.setdefault(r, []).append(idx)
 
     logs: list[RoundLog] = []
     total_spent = 0.0
@@ -314,78 +336,86 @@ def run_simulation(
 
     for t in range(cfg.rounds):
         obs.evict(t)
-        merged = obs.merged()  # may hold NaN for never-sampled channels
+        merged = obs.merged()  # may hold NaN while some channel was never sampled
 
         if policy_kind is PolicyKind.STATIC:
-            res = select_static(node_ids[fundable], costs[fundable])
-            sel, budget_total = res.selected, res.budget
+            res = select_static(cand_ids, cand_costs)
+            budget_total = res.budget
         elif policy_kind is PolicyKind.PERIODIC:
-            res = select_periodic(node_ids[fundable], costs[fundable], t, cfg.periodic_period, cfg.periodic_duty)
-            sel, budget_total = res.selected, res.budget
+            res = select_periodic(cand_ids, cand_costs, t, cfg.periodic_period, cfg.periodic_duty)
+            budget_total = res.budget
         else:
             # hierarchical budget split from observed context only: one
             # budget per zone, or the whole fleet as one cluster
             if cfg.hierarchy:
-                trends = np.abs(obs.trend(t))
-                weights = hier.zone_interest_weights(hier.scalarize(trends), hier.scalarize(fill_baseline(merged)))
+                np.abs(obs.trend(t), out=context[:, 0])
+                context[:, 1] = fill_baseline(merged) if obs.unseen else merged
+                trend_level = hier.scalarize(context)
+                weights = hier.zone_interest_weights(trend_level[:, 0], trend_level[:, 1])
                 budgets = hier.allocate_budgets(global_budget, weights).tolist()
             else:
                 budgets = [global_budget]
             # score the fleet once, then admit in every cluster in one call
             if policy_kind is PolicyKind.UCB:
                 scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
-                floor = 0.0
             else:
                 scores = state.utilities / costs
-                floor = cfg.score_floor
-            res = select_budgeted(node_ids[fundable], scores, costs, budgets, floor)
-            sel = np.asarray(res.selected, dtype=np.int64)
+            res = select_budgeted(cand_ids, scores, costs, budgets, floor)
             budget_total = float(sum(budgets))
             n_budgeted += len(budgets)
             for cost, budget in zip(res.cluster_cost, budgets):
                 max_violation = max(max_violation, cost - budget)
 
-        spent = float(costs[sel].sum()) if sel.size else 0.0
+        sel = np.asarray(res.selected, dtype=np.int64)
+        sel_costs = costs[sel]
+        spent = float(sel_costs.sum()) if sel.size else 0.0
 
         # every selected node was fundable; it dies once it cannot fund the next activation
-        pulls[sel] += 1
+        sel_pulls = pulls[sel] + 1
+        pulls[sel] = sel_pulls
         total_spent += spent
-        newly_dead = sel[(pulls[sel] + 1) * costs[sel] > capacity]
-        fundable[newly_dead] = False
-        death_round[newly_dead] = t
+        newly_dead = sel[(sel_pulls + 1) * sel_costs > capacity]
+        if newly_dead.size:
+            fundable[newly_dead] = False
+            death_round[newly_dead] = t
+            cand_ids, cand_costs = node_ids[fundable], costs[fundable]
 
         # readings for activated nodes only; the noise layout covers the whole
         # fleet so selection cannot shift anyone else's draws
         eps = noise.round_block(t).reshape(n, N_POLLUTANTS)
         sel_zones = zone_of[sel]
-        measured = sensor_reading(values[t][sel_zones, :], eps[sel, :], cfg.noise_sigma)  # [n_sel, P]
+        # row gathers by take: the same rows as fancy indexing, at less overhead
+        measured = sensor_reading(values[t].take(sel_zones, axis=0), eps.take(sel, axis=0), cfg.noise_sigma)
 
         # per-channel sums add each channel's readings in selection order; an
         # empty round's bincount comes back as integers, hence the casts
-        channels = node_channels[sel].ravel()
+        channels = node_channels.take(sel, axis=0).ravel()
         cur_sum = np.bincount(channels, measured.ravel(), n_channels).astype(np.float64, copy=False)
-        cur_sum = cur_sum.reshape(cfg.n_zones, N_POLLUTANTS)
-        cur_cnt = np.bincount(channels, None, n_channels).astype(np.float64).reshape(cfg.n_zones, N_POLLUTANTS)
-        cur_mean = np.divide(cur_sum, cur_cnt, out=np.full_like(cur_sum, np.nan), where=cur_cnt > 0)
+        cur_sum = cur_sum.reshape(n_zones, N_POLLUTANTS)
+        cur_cnt = np.bincount(channels, None, n_channels).astype(np.float64).reshape(n_zones, N_POLLUTANTS)
+        cur_mean = np.divide(cur_sum, cur_cnt, out=no_mean.copy(), where=cur_cnt > 0)
 
-        bl = fill_baseline(merged, cur_mean)
-        feedback = feedback_proxy(measured, bl[sel_zones, :]).max(axis=1)
+        bl = fill_baseline(merged, cur_mean) if obs.unseen else merged
+        feedback = feedback_proxy(measured, bl.take(sel_zones, axis=0)).max(axis=1)
 
-        sel_costs = costs[sel]
         if policy_kind is PolicyKind.ADAPTIVE and sel.size:
             state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
         elif policy_kind is PolicyKind.UCB and sel.size:
-            # pulls already counts this round's activation
+            # sel_pulls already counts this round's activation
             payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
-            state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / pulls[sel]
+            state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / sel_pulls
 
-        mean_reward = float(np.mean(reward(feedback, sel_costs, cfg.alpha, cfg.beta))) if sel.size else 0.0
+        if sel.size:
+            rewards = reward(feedback, sel_costs, cfg.alpha, cfg.beta)
+            mean_reward = float(rewards.sum() / rewards.size)
+        else:
+            mean_reward = 0.0
 
         newly_detected = []
-        if active_by_round[t] and sel.size:
-            zone_peak = np.zeros(cfg.n_zones)
+        if t in live_events and sel.size:
+            zone_peak = np.zeros(n_zones)
             np.maximum.at(zone_peak, sel_zones, feedback)
-            for idx in active_by_round[t]:
+            for idx in live_events[t]:
                 if not detected[idx] and zone_peak[events[idx].zone_id] >= cfg.detect_threshold:
                     detected[idx] = True
                     detect_round[idx] = t

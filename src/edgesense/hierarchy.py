@@ -16,27 +16,34 @@ log = logging.getLogger("edgesense.hierarchy")
 
 
 def normalize_max(values: np.ndarray) -> np.ndarray:
-    """Scale non-negative values by the maximum so the largest maps to 1.
-    An all-zero column normalizes to all zeros."""
+    """Scale non-negative values by the maximum so the largest maps to 1: a
+    vector by its maximum, an array column by column along axis 0. An
+    all-zero vector or column normalizes to all zeros."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return values.copy()
-    top = values.max(axis=0, keepdims=True) if values.ndim > 1 else values.max()
-    out = np.zeros_like(values)
+    if values.ndim < 2:
+        top = values.max()
+        return values / top if top > 0 else np.zeros_like(values)
+    top = values.max(axis=0, keepdims=True)
+    out = np.zeros(values.shape)
     np.divide(values, top, out=out, where=top > 0)
     return out
 
 
 def scalarize(per_pollutant: np.ndarray) -> np.ndarray:
-    """Collapse a [zones, pollutants] matrix to one scalar per zone.
+    """Collapse per-pollutant columns to one scalar per zone: a [zones,
+    pollutants] matrix to [zones], or a stack [zones, k, pollutants] of k
+    such matrices to [zones, k] in one pass.
 
     Each pollutant column is max-normalized across zones first, so channels
     measured in large units cannot drown out the others, then averaged.
     """
     per_pollutant = np.asarray(per_pollutant, dtype=np.float64)
-    if per_pollutant.ndim != 2:
-        raise ValueError(f"expected [zones, pollutants], got shape {per_pollutant.shape}")
-    return normalize_max(per_pollutant).mean(axis=1)
+    if per_pollutant.ndim not in (2, 3):
+        raise ValueError(f"expected [zones, pollutants] or [zones, k, pollutants], got shape {per_pollutant.shape}")
+    # the mean over the last axis, spelled out: np.mean's wrapper costs more than the sum
+    return np.add.reduce(normalize_max(per_pollutant), axis=-1) / per_pollutant.shape[-1]
 
 
 def zone_interest_weights(trend_magnitude: np.ndarray, recent_level: np.ndarray) -> np.ndarray:
@@ -60,7 +67,7 @@ def allocate_budgets(global_budget: float, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
-    if np.any(w < 0):
+    if w.min() < 0:
         raise ValueError("weights must be non-negative")
     total = float(w.sum())
     if total <= 0.0:

@@ -130,12 +130,13 @@ def select_budgeted(
     eligible[np.asarray(candidates, dtype=np.int64)] = True
     eligible &= scores >= score_floor
     # an ineligible node costs +inf, so it never fits
-    fit_cost = np.where(eligible, costs, math.inf)
+    fit_cost = costs.copy()
+    fit_cost[~eligible] = math.inf
     # stable sort of the negated scores: descending, lower id first on ties
-    order = np.argsort(-scores.reshape(n_clusters, width), axis=1, kind="stable")
+    order = (-scores.reshape(n_clusters, width)).argsort(axis=1, kind="stable")
     order += np.arange(0, n, width, dtype=np.int64)[:, None]
     # once the remaining budget is below the cheapest cost nothing else fits
-    cheapest = float(costs.min(initial=math.inf))
+    cheapest = float(costs.min()) if n else math.inf
     selected: list[int] = []
     admit = selected.append
     cluster_cost: list[float] = []
@@ -157,7 +158,7 @@ def select_static(node_ids, energy_cost) -> SelectionResult:
     """Activate every supplied (alive) node. The reported budget is simply
     the summed cost, since this policy has no energy cap."""
     ids = np.asarray(node_ids, dtype=np.int64)
-    total = float(np.sum(np.asarray(energy_cost, dtype=np.float64))) if ids.size else 0.0
+    total = float(np.asarray(energy_cost, dtype=np.float64).sum()) if ids.size else 0.0
     return SelectionResult(selected=ids, total_cost=total, budget=total)
 
 

@@ -142,6 +142,10 @@ def load_csv(path: str, expected_zones: int | None = None) -> TraceSet:
     cells: dict[tuple[datetime, int, Pollutant], float] = {}
     zones: set[int] = set()
     hours: set[datetime] = set()
+    # every timestamp and label repeats on many rows: parse each distinct
+    # string once; a bad one is never stored, so it fails on its first line
+    parsed_ts: dict[str, datetime] = {}
+    parsed_pol: dict[str, Pollutant] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -152,15 +156,19 @@ def load_csv(path: str, expected_zones: int | None = None) -> TraceSet:
                 continue
             if len(row) != 4:
                 raise TraceError(f"line {lineno}: expected 4 columns, got {len(row)}")
-            ts = _parse_timestamp(row[0], lineno)
+            ts = parsed_ts.get(row[0])
+            if ts is None:
+                ts = parsed_ts[row[0]] = _parse_timestamp(row[0], lineno)
             try:
                 zone = int(row[1])
             except ValueError:
                 raise TraceError(f"line {lineno}: bad zone_id {row[1]!r}") from None
-            try:
-                pol = Pollutant.from_label(row[2].strip())
-            except ValueError as exc:
-                raise TraceError(f"line {lineno}: {exc}") from None
+            pol = parsed_pol.get(row[2])
+            if pol is None:
+                try:
+                    pol = parsed_pol[row[2]] = Pollutant.from_label(row[2].strip())
+                except ValueError as exc:
+                    raise TraceError(f"line {lineno}: {exc}") from None
             try:
                 value = float(row[3])
             except ValueError:

@@ -1,10 +1,10 @@
 """Reference implementations the production code is checked against.
 
 These are deliberately slow and literal: a quadratic selection loop, a
-dictionary-based trailing window, a scalar UCB index, a per-event
-detection replay over the round logs and a round-log CSV written row by
-row through the csv module. When a test disagrees with the fast
-path, the bug should be easy to localize here.
+dictionary-based trailing window, a point-by-point trend slope, a scalar
+UCB index, a per-event detection replay over the round logs and a
+round-log CSV written row by row through the csv module. When a test
+disagrees with the fast path, the bug should be easy to localize here.
 """
 
 import csv
@@ -45,6 +45,20 @@ def window_mean(samples_by_round, now, window):
     if not values:
         return None
     return sum(values) / len(values)
+
+
+def trend_slope(points):
+    """Least-squares slope through (x, y) points, one at a time in Python
+    floats; 0.0 with fewer than two points or no spread in x."""
+    n = len(points)
+    if n < 2:
+        return 0.0
+    sx = sum(x for x, _ in points)
+    sy = sum(y for _, y in points)
+    sxx = sum(x * x for x, _ in points)
+    sxy = sum(x * y for x, y in points)
+    denom = n * sxx - sx * sx
+    return 0.0 if denom == 0 else (n * sxy - sx * sy) / denom
 
 
 def ucb_index(mean_reward, count, round_index, c):

@@ -263,6 +263,29 @@ class TestReport:
         assert proc.returncode == 2
         assert "unrecognized format" in proc.stderr
 
+    @pytest.mark.parametrize("record, problem", [
+        ([1, 2], "malformed record: 'list' object has no attribute 'get'"),
+        ({"format": "edgesense-run/1"}, "missing key 'energy_cost'"),
+        ({"format": "edgesense-comparison/1"}, "missing key 'policies'"),
+    ], ids=["not-an-object", "run-without-costs", "comparison-without-policies"])
+    def test_malformed_record_exits_two(self, tmp_path, record, problem):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {path}: {problem}"]
+
+    def test_run_record_whose_config_is_not_an_object_exits_two(self, artifacts, tmp_path):
+        record = json.loads(_read(artifacts["run_json"]))
+        record["config"] = []
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record))
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: {path}: malformed record: list indices must be integers or slices, not str"
+        ]
+
 
 class TestFailureModes:
     def test_bad_inputs_exit_two(self, cfg_file, tmp_path):

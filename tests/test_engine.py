@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesense._util import stable_json
 from edgesense.core import (
@@ -18,6 +20,7 @@ from edgesense.core import (
 from edgesense.engine import (
     FEEDBACK_SCALE_FLOOR,
     K_DEVIATION,
+    TREND_WINDOW,
     ObservationState,
     _NoiseSource,
     feedback_proxy,
@@ -30,7 +33,7 @@ from edgesense.engine import (
 )
 from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER
 from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
-from oracles import mark_detections, round_log_csv, window_mean
+from oracles import mark_detections, round_log_csv, trend_slope, window_mean
 
 
 class TestSensorReading:
@@ -168,6 +171,92 @@ class TestObservationState:
         obs.evict(3)
         # round 0's spike left the window
         assert np.all(obs.merged() == 15.0)
+
+
+def expected_trend(history, now, n_zones):
+    """Trend slopes from the pushed rounds: the trend window keeps, per slot
+    round % TREND_WINDOW, the latest round pushed into it; unsampled
+    channels (NaN means) are left out point by point."""
+    latest = {}
+    for r, mean in history:
+        latest[r % TREND_WINDOW] = (r, mean)
+    out = np.zeros((n_zones, N_POLLUTANTS))
+    for z in range(n_zones):
+        for p in range(N_POLLUTANTS):
+            points = [(float(r - now), float(m[z, p])) for r, m in latest.values() if not np.isnan(m[z, p])]
+            out[z, p] = trend_slope(points)
+    return out
+
+
+def round_sums(rng, n_zones, p_dark):
+    """One round's per-channel sample counts, sums and means: a zone goes
+    dark with probability p_dark, else each channel gets 1 to 3 samples,
+    and one channel in fifty gets none."""
+    cnt = rng.integers(1, 4, (n_zones, N_POLLUTANTS)).astype(np.float64)
+    cnt[rng.random((n_zones, N_POLLUTANTS)) < 0.02] = 0.0
+    cnt[rng.random(n_zones) < p_dark] = 0.0
+    cur_sum = cnt * rng.uniform(5.0, 50.0, cnt.shape)
+    cur_mean = np.divide(cur_sum, cnt, out=np.full_like(cur_sum, np.nan), where=cnt > 0)
+    return cur_sum, cnt, cur_mean
+
+
+class TestObservationFastPaths:
+    def test_trend_masks_a_zone_that_goes_dark_in_a_full_window(self):
+        rng = np.random.default_rng(8)
+        obs = ObservationState(2, window=24)
+        history = []
+        for t in range(40):
+            got = obs.trend(t)
+            want = expected_trend(history, t, 2)
+            assert np.all(np.isfinite(got))
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            cnt = np.ones((2, N_POLLUTANTS))
+            if t in (20, 21, 23):
+                cnt[1] = 0.0  # zone 1 loses its last live sensor for a while
+            cur_mean = np.where(cnt > 0, rng.uniform(5.0, 50.0, cnt.shape), np.nan)
+            obs.evict(t)
+            obs.push(t, np.nan_to_num(cur_mean), cnt, cur_mean)
+            history.append((t, cur_mean))
+            # the window was full before zone 1 went dark and is full again
+            # once the dark rounds have left it
+            assert (obs.n_nan == 0) == (t >= TREND_WINDOW - 1 and not 20 <= t < 23 + TREND_WINDOW)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_zones=st.integers(1, 3),
+        window=st.integers(2, 12),
+        rounds=st.integers(1, 40),
+        p_dark=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+    )
+    def test_window_baseline_and_trend_match_brute_force(self, seed, n_zones, window, rounds, p_dark):
+        rng = np.random.default_rng(seed)
+        obs = ObservationState(n_zones, window)
+        samples = {(z, p): {} for z in range(n_zones) for p in range(N_POLLUTANTS)}
+        history = []
+        for t in range(rounds):
+            obs.evict(t)
+            merged = obs.merged()
+            cur_sum, cur_cnt, cur_mean = round_sums(rng, n_zones, p_dark)
+            # the baseline as the round loop forms it: no fill once every channel was seen
+            baseline = fill_baseline(merged, cur_mean) if obs.unseen else merged
+            never_seen = 0
+            for (z, p), by_round in samples.items():
+                want = window_mean(by_round, t, window - 1)
+                if want is None:
+                    firsts = [vals for r, vals in sorted(by_round.items()) if vals]
+                    want = sum(firsts[0]) / len(firsts[0]) if firsts else None
+                never_seen += want is None
+                if want is None:
+                    assert np.isnan(merged[z, p])
+                    want = 0.0 if np.isnan(cur_mean[z, p]) else cur_mean[z, p]
+                assert baseline[z, p] == pytest.approx(want, rel=1e-9)
+            assert obs.unseen == never_seen
+            assert obs.trend(t) == pytest.approx(expected_trend(history, t, n_zones), rel=1e-9, abs=1e-9)
+            for (z, p), by_round in samples.items():
+                n = int(cur_cnt[z, p])
+                by_round[t] = [cur_sum[z, p] / n] * n if n else []
+            obs.push(t, cur_sum, cur_cnt, cur_mean)
+            history.append((t, cur_mean))
 
 
 class TestNoiseSource:

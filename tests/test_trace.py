@@ -165,6 +165,19 @@ class TestCsvErrors:
         with pytest.raises(TraceError, match="line 2: bad timestamp"):
             self._load(tmp_path, _csv_lines("yesterday,0,PM25,1.0"))
 
+    def test_bad_timestamp_on_a_late_line_reports_that_line(self, tmp_path):
+        # parsed timestamps and labels are reused across rows; a bad string
+        # is never reused, so it fails on the line where it first appears
+        rows = (_full_hour("2026-01-01T00:00:00Z", 0) + _full_hour("2026-01-01T01:00:00Z", 0)
+                + ["2026-01-01T01:00:00Q,1,PM25,1.0"] + _full_hour("2026-01-01T02:00:00Z", 0))
+        with pytest.raises(TraceError, match=f"line {2 * len(POLLUTANTS) + 2}: bad timestamp"):
+            self._load(tmp_path, _csv_lines(*rows))
+
+    def test_bad_label_after_good_ones_reports_its_line(self, tmp_path):
+        rows = _full_hour("2026-01-01T00:00:00Z", 0) + ["2026-01-01T01:00:00Z,0,PM 25,1.0"]
+        with pytest.raises(TraceError, match=f"line {len(POLLUTANTS) + 2}: unknown pollutant"):
+            self._load(tmp_path, _csv_lines(*rows))
+
     def test_bad_zone(self, tmp_path):
         with pytest.raises(TraceError, match="line 2: bad zone_id"):
             self._load(tmp_path, _csv_lines("2026-01-01T00:00:00Z,north,PM25,1.0"))
