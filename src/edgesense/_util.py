@@ -15,18 +15,23 @@ def atomic_write_text(path: str, text: str) -> None:
 def atomic_write_chunks(path: str, chunks) -> None:
     """Write an iterable of strings to path, in order, via a temp file in
     the same directory plus rename, so readers never observe a partial
-    file."""
+    file. An OSError raised on the way names path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # name the path the caller asked for, not the temp file's
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -237,11 +237,11 @@ def _cmd_report(args) -> int:
     path = args.input
     if os.path.isdir(path):
         path = os.path.join(path, "summary.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    # a malformed record fails somewhere in parsing or in the metrics; it is
-    # reported against its file here, in one place
+    # a malformed record fails somewhere in decoding, parsing or the
+    # metrics; it is reported against its file here, in one place
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
         fmt = d.get("format", "")
         if fmt == "edgesense-comparison/1":
             if args.format == "json":
@@ -260,11 +260,13 @@ def _cmd_report(args) -> int:
             else:
                 out = _run_metrics_text(m) + "\n"
         else:
-            raise TraceError(f"{path}: unrecognized format {fmt!r}")
+            raise ValueError(f"unrecognized format {fmt!r}")
     except KeyError as exc:
         raise TraceError(f"{path}: missing key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise TraceError(f"{path}: malformed record: {exc}") from None
+    except ValueError as exc:  # not UTF-8, not JSON, or a record that contradicts itself
+        raise TraceError(f"{path}: {exc}") from None
     if args.out:
         atomic_write_text(args.out, out)
         print(f"wrote {args.out}")
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
     except (ConfigError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -363,10 +363,10 @@ def run_simulation(
             res = select_budgeted(cand_ids, scores, costs, budgets, floor)
             budget_total = float(sum(budgets))
             n_budgeted += len(budgets)
-            for cost, budget in zip(res.cluster_cost, budgets):
+            for cost, budget in zip(res.cluster_cost.tolist(), budgets):
                 max_violation = max(max_violation, cost - budget)
 
-        sel = np.asarray(res.selected, dtype=np.int64)
+        sel = res.selected
         sel_costs = costs[sel]
         spent = float(sel_costs.sum()) if sel.size else 0.0
 
@@ -396,7 +396,9 @@ def run_simulation(
         cur_mean = np.divide(cur_sum, cur_cnt, out=no_mean.copy(), where=cur_cnt > 0)
 
         bl = fill_baseline(merged, cur_mean) if obs.unseen else merged
-        feedback = feedback_proxy(measured, bl.take(sel_zones, axis=0)).max(axis=1)
+        # the max of each node's row, taken over a pollutant-major copy:
+        # max is exact, and this is cheaper than a max along short rows
+        feedback = np.ascontiguousarray(feedback_proxy(measured, bl.take(sel_zones, axis=0)).T).max(axis=0)
 
         if policy_kind is PolicyKind.ADAPTIVE and sel.size:
             state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
@@ -473,10 +475,12 @@ def load_run(path: str) -> RunResult:
 def run_from_dict(d: dict) -> RunResult:
     """Rebuild a RunResult from a parsed record of format RUN_FORMAT. A
     record written before the final learner state was saved loads with the
-    run-start state."""
+    run-start state. A record whose parts contradict each other raises
+    ValueError."""
     from .core import Pollutant
 
     n = len(d["energy_cost"])
+    n_zones = d["config"]["n_zones"]
     logs = [
         RoundLog(
             round_index=r["round"],
@@ -493,7 +497,7 @@ def run_from_dict(d: dict) -> RunResult:
         EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]), e["magnitude"])
         for e in d["events"]
     ]
-    return RunResult(
+    run = RunResult(
         config=d["config"],
         policy=d["policy"],
         seed=d["seed"],
@@ -513,6 +517,32 @@ def run_from_dict(d: dict) -> RunResult:
         final_utilities=np.asarray(d.get("final_utilities", [INITIAL_UTILITY] * n), dtype=np.float64),
         final_ucb_means=np.asarray(d.get("final_ucb_means", [0.0] * n), dtype=np.float64),
     )
+    _check_consistent(run, n_zones)
+    return run
+
+
+def _check_consistent(run: RunResult, n_zones: int) -> None:
+    """Raise ValueError unless the per-node arrays agree in length, zone ids
+    (of nodes and of events) name one of the n_zones zones, every selected
+    id names a node, and every round has one feedback value per selection."""
+    n = run.n_nodes
+    for name in ("zone_of", "final_battery", "activation_counts", "death_round",
+                 "final_utilities", "final_ucb_means"):
+        if len(getattr(run, name)) != n:
+            raise ValueError(f"{name} has {len(getattr(run, name))} entries, energy_cost has {n}")
+    if n and not 0 <= run.zone_of.min() <= run.zone_of.max() < n_zones:
+        raise ValueError(f"zone_of names a zone outside 0..{n_zones - 1}")
+    for lg in run.logs:
+        if lg.feedback.shape != lg.selected.shape:
+            raise ValueError(f"round {lg.round_index} has {lg.feedback.size} feedback values "
+                             f"for {lg.selected.size} selected nodes")
+    ids = np.concatenate([lg.selected for lg in run.logs]) if run.logs else np.zeros(0)
+    if ids.size and not 0 <= ids.min() <= ids.max() < n:
+        bad = next(lg for lg in run.logs if lg.selected.size and not 0 <= lg.selected.min() <= lg.selected.max() < n)
+        raise ValueError(f"round {bad.round_index} selects a node outside 0..{n - 1}")
+    for ev in run.events:
+        if not 0 <= ev.zone_id < n_zones:
+            raise ValueError(f"an event names zone {ev.zone_id}, outside 0..{n_zones - 1}")
 
 
 def write_round_log_csv(run: RunResult, path: str) -> None:

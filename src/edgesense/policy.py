@@ -50,11 +50,11 @@ class SelectionResult:
 @dataclass
 class BudgetedSelection:
     """Outcome of one round of budgeted admission over every cluster: the
-    admitted node ids, cluster by cluster and each cluster's in admission
-    order, and the energy cost admitted in each cluster."""
+    admitted node ids (int64), cluster by cluster and each cluster's in
+    admission order, and the energy cost admitted in each cluster."""
 
-    selected: list[int]
-    cluster_cost: list[float]
+    selected: np.ndarray
+    cluster_cost: np.ndarray
 
 
 @dataclass
@@ -97,6 +97,15 @@ def update_utility(utility, feedback, eta: float):
     return (1.0 - eta) * utility + eta * feedback
 
 
+# Fleets of more than WIDE_FLEET nodes admit through the vectorized kernel,
+# smaller ones through the per-candidate scan. Kernel time over scan time per
+# call, on rounds captured from 2880-round ucb and adaptive runs with zones of
+# 10-50 nodes (2-vCPU x86 VM): 1.55 at 40 nodes, 1.15 at 100, 1.10 at 120,
+# 1.02 at 150, 1.00-1.03 at 160, 0.96-0.99 at 180, 0.87-0.95 at 200, 0.8 at
+# 300 and 0.45 at 1000. The crossover lies between 160 and 180 nodes.
+WIDE_FLEET = 160
+
+
 def select_budgeted(
     candidates,
     scores,
@@ -117,6 +126,14 @@ def select_budgeted(
     ending the scan, so cheaper lower-ranked candidates can still use the
     leftover budget. The selected count is whatever the budget allows, never
     a fixed quota.
+
+    The input size picks one of two exact implementations. A fleet of at
+    most WIDE_FLEET nodes is scanned candidate by candidate in Python. A
+    wider one takes a vectorized kernel: a running subtraction of the
+    costs in scan order finds the prefix the scan admits before its first
+    skip, and only the later candidates that fit what the prefix left are
+    scanned in Python. Both subtract and add the same floats in the same
+    order, so they admit the same ids and report the same costs.
     """
     if not 0 <= min(budgets) <= max(budgets) < math.inf:
         raise ValueError(f"budgets must be finite and >= 0, got {budgets}")
@@ -135,6 +152,8 @@ def select_budgeted(
     # stable sort of the negated scores: descending, lower id first on ties
     order = (-scores.reshape(n_clusters, width)).argsort(axis=1, kind="stable")
     order += np.arange(0, n, width, dtype=np.int64)[:, None]
+    if n > WIDE_FLEET:
+        return _admit_wide(order, fit_cost[order], budgets)
     # once the remaining budget is below the cheapest cost nothing else fits
     cheapest = float(costs.min()) if n else math.inf
     selected: list[int] = []
@@ -151,7 +170,43 @@ def select_budgeted(
                 if remaining < cheapest:
                     break
         cluster_cost.append(total)
-    return BudgetedSelection(selected=selected, cluster_cost=cluster_cost)
+    return BudgetedSelection(np.array(selected, dtype=np.int64), np.array(cluster_cost))
+
+
+def _admit_wide(order: np.ndarray, cost: np.ndarray, budgets) -> BudgetedSelection:
+    """select_budgeted's kernel for wide fleets: order holds each cluster's
+    node ids in scan order, cost their costs (+inf if ineligible)."""
+    n_clusters, width = cost.shape
+    rows = np.arange(n_clusters)
+    # row k is [budgets[k], costs in scan order, +inf]: the running
+    # subtraction repeats the scan's `remaining -= c`, and a cost fits
+    # exactly when subtracting it leaves a non-negative remainder
+    row = np.empty((n_clusters, width + 2))
+    row[:, 0] = budgets
+    row[:, 1:-1] = cost
+    row[:, -1] = math.inf
+    remaining = np.subtract.accumulate(row, axis=1)
+    # the scan admits every candidate before the first that does not fit;
+    # the +inf guard makes sure there is one
+    prefix = (remaining < 0).argmax(axis=1) - 1
+    left = remaining[rows, prefix]
+    # with 0 in front, the running sum repeats the scan's `total += c`
+    row[:, 0] = 0.0
+    total = np.add.accumulate(row[:, :-1], axis=1)[rows, prefix]
+    admitted = np.arange(width) < prefix[:, None]
+    # past the prefix, only candidates that fit what it left can be admitted
+    tail_k, tail_j = np.nonzero(cost <= left[:, None])
+    past = tail_j > prefix[tail_k]
+    if past.any():
+        tail_k, tail_j = tail_k[past], tail_j[past]
+        left, total = left.tolist(), total.tolist()
+        for k, j, c in zip(tail_k.tolist(), tail_j.tolist(), cost[tail_k, tail_j].tolist()):
+            if c <= left[k]:
+                admitted[k, j] = True
+                total[k] += c
+                left[k] -= c
+        total = np.array(total)
+    return BudgetedSelection(order[admitted], total)
 
 
 def select_static(node_ids, energy_cost) -> SelectionResult:

@@ -160,7 +160,7 @@ def test_6_selector_matches_naive_oracle(capsys):
         floor = float(rng.choice([0.0, 0.12, 0.5]))
         cands = list(zip(range(n), scores.tolist(), costs.tolist()))
         got = select_budgeted(range(n), scores, costs, [budget], floor)
-        if got.selected != naive_budget_selection(cands, budget, floor):
+        if list(got.selected) != naive_budget_selection(cands, budget, floor):
             mismatches += 1
     ok = mismatches == 0
     _emit(capsys, 6, ok, f"{1000 - mismatches}/1000 random instances agree with the naive selector")

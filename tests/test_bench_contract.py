@@ -10,11 +10,12 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from edgesense import cli, trace
+from edgesense import cli, engine, trace
 from edgesense.core import SimConfig
-from edgesense.policy import POLICY_ORDER
+from edgesense.policy import POLICY_ORDER, WIDE_FLEET
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -61,3 +62,28 @@ def test_comparison_routes_every_run_through_the_cli_attribute(monkeypatch):
     monkeypatch.setattr(cli, "run_simulation", counting)
     cli.run_comparison(cfg, traces, POLICY_ORDER, [1, 2])
     assert calls == [(k, s) for k in POLICY_ORDER for s in (1, 2)]
+
+
+@pytest.mark.parametrize("n_zones, nodes_per_zone, wide", [(3, 4, False), (4, 50, True)], ids=["narrow", "wide"])
+@pytest.mark.parametrize("policy", ["ucb", "adaptive"])
+def test_budgeted_runs_feed_the_selection_counters(bench, monkeypatch, n_zones, nodes_per_zone, wide, policy):
+    # policy.select_s, candidates and admitted wrap engine.select_budgeted;
+    # both admission paths must go through it once a round, and the
+    # counters' reading of its arguments and result must match the logs
+    cfg = SimConfig(n_zones=n_zones, nodes_per_zone=nodes_per_zone, rounds=200, battery_capacity=150.0)
+    traces = trace.build_round_trace(cfg, trace.generate_synthetic(cfg))
+    counters = bench.layers.COUNTERS["policy.select"]
+    seen = []
+    original = engine.select_budgeted
+
+    def counting(*args):
+        res = original(*args)
+        seen.append((counters["candidates"](args, res), counters["admitted"](args, res)))
+        return res
+
+    monkeypatch.setattr(engine, "select_budgeted", counting)
+    run = engine.run_simulation(cfg, traces, policy)
+    alive = [int(np.count_nonzero((run.death_round < 0) | (run.death_round >= t))) for t in range(cfg.rounds)]
+    assert seen == [(a, len(lg.selected)) for a, lg in zip(alive, run.logs)]
+    assert min(alive) < run.n_nodes  # nodes die, so the candidate count moves
+    assert (run.n_nodes > WIDE_FLEET) == wide

@@ -286,6 +286,39 @@ class TestReport:
             f"error: {path}: malformed record: list indices must be integers or slices, not str"
         ]
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda r: r.update(zone_of=[]), "zone_of has 0 entries, energy_cost has 6"),
+        (lambda r: r["energy_cost"].pop(), "zone_of has 6 entries, energy_cost has 5"),
+        (lambda r: r["zone_of"].__setitem__(5, 2), "zone_of names a zone outside 0..1"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1000000), "round 0 selects a node outside 0..5"),
+        (lambda r: r["rounds"][0]["feedback"].pop(), "round 0 has {} feedback values for {} selected nodes"),
+        (lambda r: r["events"].append({"zone_id": 2, "start_round": 0, "end_round": 4,
+                                       "pollutant": "CO", "magnitude": 2.0}),
+         "an event names zone 2, outside 0..1"),
+    ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
+            "feedback-short", "event-zone-out-of-range"])
+    def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
+        record = json.loads(_read(artifacts["run_json"]))
+        n_selected = len(record["rounds"][0]["selected"])
+        assert n_selected > 0
+        edit(record)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record))
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {path}: {problem.format(n_selected - 1, n_selected)}"]
+
+    @pytest.mark.parametrize("content, problem", [
+        (b"not json\n", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["not-json", "not-utf8"])
+    def test_undecodable_input_names_its_file(self, tmp_path, content, problem):
+        path = tmp_path / "junk.json"
+        path.write_bytes(content)
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {path}: {problem}"]
+
 
 class TestFailureModes:
     def test_bad_inputs_exit_two(self, cfg_file, tmp_path):
@@ -349,6 +382,20 @@ class TestFailureModes:
             assert proc.returncode == 0, proc.stderr
             outs.append((sub / "run.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("out, problem", [
+        ("missing/run.json", "No such file or directory"),
+        ("a-directory", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_names_the_path(self, cfg_file, tmp_path, out, problem):
+        (tmp_path / "a-directory").mkdir()
+        out = tmp_path / out
+        proc = run_cli("run", "--config", cfg_file, "--synthetic", "--policy", "static", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {problem}: {out}"]
+        # no temp file is left behind
+        assert os.listdir(tmp_path) == ["a-directory"]
+        assert os.listdir(tmp_path / "a-directory") == []
 
     def test_policy_names_round_trip(self):
         for kind in PolicyKind:

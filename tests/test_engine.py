@@ -516,6 +516,14 @@ class TestPersistence:
         assert np.all(loaded.final_utilities == INITIAL_UTILITY)
         assert np.all(loaded.final_ucb_means == 0.0)
 
+    def test_load_rejects_a_record_that_contradicts_itself(self, runs, tmp_path):
+        record = runs["ucb"].to_dict()
+        record["rounds"][0]["feedback"].append(0.5)
+        path = tmp_path / "run.json"
+        path.write_text(stable_json(record))
+        with pytest.raises(ValueError, match="round 0 has"):
+            load_run(str(path))
+
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else/9"}')

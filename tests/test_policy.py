@@ -2,15 +2,18 @@
 per-round selectors."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from edgesense import policy
 from edgesense.policy import (
     INITIAL_UTILITY,
     POLICY_ORDER,
+    WIDE_FLEET,
     PolicyKind,
     make_policy_state,
     normalized_payoff,
@@ -110,25 +113,25 @@ class TestNormalizedPayoff:
 class TestSelectBudgeted:
     def test_skip_expensive_then_fill_with_cheaper(self):
         res = select_budgeted([0, 1, 2], [5.0, 4.0, 3.0], [10.0, 3.0, 2.0], [6.0])
-        assert res.selected == [1, 2]
-        assert res.cluster_cost == [pytest.approx(5.0)]
+        assert list(res.selected) == [1, 2]
+        assert list(res.cluster_cost) == [pytest.approx(5.0)]
 
     def test_score_ties_break_by_lower_id(self):
         res = select_budgeted([2, 0, 1], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0])
-        assert res.selected == [0, 1]
+        assert list(res.selected) == [0, 1]
 
     def test_floor_excludes_low_scores(self):
         res = select_budgeted([0, 1], [0.5, 0.11], [1.0, 1.0], [5.0], score_floor=0.12)
-        assert res.selected == [0]
+        assert list(res.selected) == [0]
 
     def test_floor_is_inclusive(self):
         res = select_budgeted([0], [0.12], [1.0], [5.0], score_floor=0.12)
-        assert res.selected == [0]
+        assert list(res.selected) == [0]
 
     def test_zero_budget_selects_nothing(self):
         res = select_budgeted([0], [1.0], [0.5], [0.0])
-        assert res.selected == []
-        assert res.cluster_cost == [0.0]
+        assert list(res.selected) == []
+        assert list(res.cluster_cost) == [0.0]
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -140,8 +143,8 @@ class TestSelectBudgeted:
 
     def test_exact_fit_admits_everything(self):
         res = select_budgeted([0, 1], [3.0, 2.0], [1.5, 2.5], [4.0])
-        assert res.selected == [0, 1]
-        assert res.cluster_cost == [4.0]
+        assert list(res.selected) == [0, 1]
+        assert list(res.cluster_cost) == [4.0]
 
     def test_count_follows_budget_not_a_quota(self):
         scores = [1.0 / (i + 1) for i in range(10)]
@@ -151,14 +154,14 @@ class TestSelectBudgeted:
 
     def test_only_candidates_are_admitted(self):
         res = select_budgeted([1, 3], [4.0, 3.0, 2.0, 1.0], [1.0] * 4, [10.0])
-        assert res.selected == [1, 3]
+        assert list(res.selected) == [1, 3]
 
     def test_each_cluster_spends_its_own_budget(self):
         # two clusters of three: ids 0-2 may spend 2.0, ids 3-5 may spend 1.0
         scores = [1.0, 3.0, 2.0, 1.0, 3.0, 2.0]
         res = select_budgeted(range(6), scores, [1.0] * 6, [2.0, 1.0])
-        assert res.selected == [1, 2, 4]
-        assert res.cluster_cost == [2.0, 1.0]
+        assert list(res.selected) == [1, 2, 4]
+        assert list(res.cluster_cost) == [2.0, 1.0]
 
     def test_clusters_must_split_the_fleet_evenly(self):
         with pytest.raises(ValueError):
@@ -174,7 +177,7 @@ class TestSelectBudgeted:
             floor = float(rng.choice([0.0, 0.12, 0.5]))
             cands = list(zip(range(n), scores.tolist(), costs.tolist()))
             got = select_budgeted(range(n), scores, costs, [budget], floor)
-            assert got.selected == naive_budget_selection(cands, budget, floor)
+            assert list(got.selected) == naive_budget_selection(cands, budget, floor)
             assert got.cluster_cost[0] <= budget + 1e-12
 
     @given(data=st.data())
@@ -214,8 +217,61 @@ class TestSelectBudgeted:
                 total += costs[i]
             want += picked
             want_cost.append(total)
-        assert got.selected == want
-        assert got.cluster_cost == want_cost
+        assert list(got.selected) == want
+        assert list(got.cluster_cost) == want_cost
+
+    @given(wide=st.booleans(), data=st.data())
+    def test_both_kernels_match_the_naive_reference_around_the_threshold(self, wide, data):
+        # fleets of up to 20 clusters x 50 nodes on either side of WIDE_FLEET;
+        # bulk values come from a drawn seed, the shape and mix from hypothesis
+        if wide:
+            n_clusters = data.draw(st.integers(WIDE_FLEET // 50 + 1, 20))
+            width = data.draw(st.integers(WIDE_FLEET // n_clusters + 1, 50))
+        else:
+            n_clusters = data.draw(st.integers(1, 20))
+            width = data.draw(st.integers(1, min(50, WIDE_FLEET // n_clusters)))
+        n = n_clusters * width
+        assert (n > WIDE_FLEET) == wide
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        floor = data.draw(st.sampled_from([0.0, 0.12, 0.5]))
+        # untried UCB arms score +inf; scores on the floor must be admitted
+        scores = np.where(rng.random(n) < 0.4,
+                          rng.choice([math.inf, floor, 0.0, 0.5], n), rng.uniform(0.0, 2.0, n))
+        costs = np.where(rng.random(n) < 0.5,
+                         rng.choice([0.1, 0.25, 0.75, 1.3], n), rng.uniform(0.05, 2.0, n))
+        candidates = np.flatnonzero(rng.random(n) < data.draw(st.floats(0.0, 1.0)))
+        budgets = []
+        for k in range(n_clusters):
+            block = costs[k * width:(k + 1) * width].tolist()
+            kind = data.draw(st.sampled_from(["zero", "running_sum", "any"]))
+            if kind == "zero":
+                budgets.append(0.0)
+            elif kind == "running_sum":
+                budget = 0.0
+                for i in rng.permutation(width)[:rng.integers(0, width + 1)].tolist():
+                    budget += block[i]
+                budgets.append(budget)
+            else:
+                budgets.append(float(rng.uniform(0.0, sum(block) + 1.0)))
+
+        want, want_cost = [], []
+        for k, budget in enumerate(budgets):
+            cands = [(i, scores[i], costs[i]) for i in candidates.tolist() if i // width == k]
+            picked = naive_budget_selection(cands, budget, floor)
+            total = 0.0
+            for i in picked:
+                total += costs[i]
+            want += picked
+            want_cost.append(total)
+        want_cost = np.array(want_cost)
+
+        # the threshold as shipped, then each implementation forced
+        for threshold in (WIDE_FLEET, n, 0):
+            with mock.patch.object(policy, "WIDE_FLEET", threshold):
+                got = select_budgeted(candidates, scores, costs, budgets, floor)
+            assert got.selected.dtype == np.int64
+            assert got.selected.tolist() == want
+            assert got.cluster_cost.tobytes() == want_cost.tobytes()
 
 
 class TestSelectStatic:

@@ -1,4 +1,4 @@
-"""Full-run digests pinned on a world whose batteries run flat.
+"""Full-run digests pinned on worlds whose batteries run flat.
 
 Three zones of four nodes over 300 rounds on a 150 mAh battery: nodes die
 and zones go dark long after the trend window has filled, so NaN re-enters
@@ -7,6 +7,11 @@ healthy (cached candidate ids, the closed-form trend, skipped baseline
 fills); these digests were recorded from the general per-round code, so
 every policy must still reproduce it bit for bit once the fast paths stop
 applying.
+
+The wide world drains the same battery over four zones of fifty nodes,
+more than policy.WIDE_FLEET, so budgeted runs admit through the vectorized
+kernel. Its digests were recorded while every fleet size took the
+per-candidate scan.
 """
 
 import hashlib
@@ -16,6 +21,7 @@ import pytest
 
 from edgesense.core import SimConfig
 from edgesense.engine import TREND_WINDOW, run_simulation
+from edgesense.policy import WIDE_FLEET
 from edgesense.trace import build_round_trace, draw_events, generate_synthetic
 
 DRAINED = SimConfig(n_zones=3, nodes_per_zone=4, rounds=300, battery_capacity=150.0)
@@ -29,6 +35,19 @@ GOLDEN = {
     ("periodic", False): "0bf5c868aa3065f18cf3f9da62e82dff7f9951637a800fa551bae9f7dc7a3517",
     ("ucb", False): "5a2b9296f2735f37e4c1f003211aa99572e5c9a64e8c9f5ca5223a6e6c2d0625",
     ("adaptive", False): "844872da97dd6c28510eb1130c41a997ef2ded331de7adf88d65753b533901e5",
+}
+
+WIDE = SimConfig(n_zones=4, nodes_per_zone=50, rounds=300, battery_capacity=150.0)
+
+WIDE_GOLDEN = {
+    ("static", True): "1862d6cf5ff5397a426f622e859a9578fe103356d30fa02b375d9d78e7bd9e34",
+    ("periodic", True): "7cc931013e96e64747203728555772c83647c9d973f12445a86c7df6a2514655",
+    ("ucb", True): "e2814d0559115a179551999cd2e24c03bc22a3236c567d5b41c4b2d71b4c8676",
+    ("adaptive", True): "56e4336660f7d2b11a48dc60011526e0f2c8c329abfbec9b1b96f3905a9de03f",
+    ("static", False): "1862d6cf5ff5397a426f622e859a9578fe103356d30fa02b375d9d78e7bd9e34",
+    ("periodic", False): "7cc931013e96e64747203728555772c83647c9d973f12445a86c7df6a2514655",
+    ("ucb", False): "c2f064b125cceb5e5da379f230d7be2d8d31a500f92eb0166bf0158dfe208dab",
+    ("adaptive", False): "e0c130ba7916527f1c3cddd94afbb4fded1091d40e0696e1594a3a51bf4c948a",
 }
 
 
@@ -61,18 +80,37 @@ def run_digest(run) -> str:
     return h.hexdigest()
 
 
+def build_traces(cfg):
+    hourly = generate_synthetic(cfg, rng_seed=cfg.seed)
+    events = draw_events(cfg.rounds, cfg.n_zones, cfg.rounds_per_day, rng_seed=cfg.seed)
+    return build_round_trace(cfg, hourly, events)
+
+
 @pytest.fixture(scope="module")
 def drained_traces():
-    hourly = generate_synthetic(DRAINED, rng_seed=DRAINED.seed)
-    events = draw_events(DRAINED.rounds, DRAINED.n_zones, DRAINED.rounds_per_day, rng_seed=DRAINED.seed)
-    return build_round_trace(DRAINED, hourly, events)
+    return build_traces(DRAINED)
+
+
+@pytest.fixture(scope="module")
+def wide_traces():
+    return build_traces(WIDE)
+
+
+def check_drained_run(cfg, traces, policy, hierarchy, golden):
+    run = run_simulation(cfg.replace(hierarchy=hierarchy), traces, policy)
+    # the world must reach what the digests are meant to cover
+    assert np.any(run.death_round >= 0)
+    dark = [lg.round_index for lg in run.logs if len(set(run.zone_of[lg.selected].tolist())) < cfg.n_zones]
+    assert dark and max(dark) > 2 * TREND_WINDOW
+    assert run_digest(run) == golden[(policy, hierarchy)]
 
 
 @pytest.mark.parametrize("policy, hierarchy", list(GOLDEN))
 def test_drained_world_reproduces_the_recorded_run(drained_traces, policy, hierarchy):
-    run = run_simulation(DRAINED.replace(hierarchy=hierarchy), drained_traces, policy)
-    # the world must reach what the digests are meant to cover
-    assert np.any(run.death_round >= 0)
-    dark = [lg.round_index for lg in run.logs if len(set(run.zone_of[lg.selected].tolist())) < DRAINED.n_zones]
-    assert dark and max(dark) > 2 * TREND_WINDOW
-    assert run_digest(run) == GOLDEN[(policy, hierarchy)]
+    check_drained_run(DRAINED, drained_traces, policy, hierarchy, GOLDEN)
+
+
+@pytest.mark.parametrize("policy, hierarchy", list(WIDE_GOLDEN))
+def test_wide_world_reproduces_the_recorded_run(wide_traces, policy, hierarchy):
+    assert WIDE.n_zones * WIDE.nodes_per_zone > WIDE_FLEET
+    check_drained_run(WIDE, wide_traces, policy, hierarchy, WIDE_GOLDEN)
