@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import errno
 import json
 import logging
 import math
@@ -45,7 +46,7 @@ def _setup_logging() -> None:
 
 
 def parse_seed_list(text: str) -> list[int]:
-    """Accept '7', '1,2,5' or '1..5' (inclusive range)."""
+    """Accept '7', '1,2,5' or '1..5' (inclusive range) of seeds in [0, 2**64)."""
     text = text.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -55,14 +56,39 @@ def parse_seed_list(text: str) -> list[int]:
             raise ValueError(f"bad seed range {text!r}") from None
         if stop < start:
             raise ValueError(f"empty seed range {text!r}")
-        return list(range(start, stop + 1))
+        return list(range(_require_seed(start), _require_seed(stop) + 1))
     try:
         seeds = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"bad seed list {text!r}") from None
     if not seeds:
         raise ValueError(f"bad seed list {text!r}")
-    return seeds
+    return [_require_seed(seed) for seed in seeds]
+
+
+def _require_seed(seed: int, name: str = "seed") -> int:
+    problem = core.seed_problem(seed, name)
+    if problem:
+        raise ConfigError([problem])
+    return seed
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing a file at path would meet: its parent
+    is not an existing writable directory, or path is a directory. Called
+    before simulating, so a bad path does not throw a finished run away."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _parse_policies(text: str) -> list[PolicyKind]:
@@ -159,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_trace(args) -> int:
     cfg = _load_cfg(args)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = cfg.seed if args.seed is None else _require_seed(args.seed, "--seed")
     hourly = trace.generate_synthetic(cfg, rng_seed=seed)
     trace.write_csv(hourly, args.out)
     print(f"wrote {args.out}: {hourly.n_rounds} hourly frames, {hourly.n_zones} zones")
@@ -184,8 +210,11 @@ def _run_metrics_text(m: metrics.RunMetrics) -> str:
 
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = cfg.seed if args.seed is None else _require_seed(args.seed, "--seed")
     policy = PolicyKind.from_name(args.policy)
+    for path in (args.out, args.round_log):
+        if path:
+            _check_writable(path)
     traces = _build_traces(cfg, args, world_seed=seed)
     t0 = time.perf_counter()
     run = run_simulation(cfg, traces, policy, seed=seed)

@@ -39,6 +39,7 @@ N_POLLUTANTS = len(POLLUTANTS)
 POLLUTANT_INDEX = {p: i for i, p in enumerate(POLLUTANTS)}
 
 MINUTES_PER_DAY = 1440
+MINUTES_PER_HOUR = 60  # rounds subdivide the hourly trace, so they divide the hour
 
 
 @dataclass
@@ -96,9 +97,9 @@ def validate_config(cfg: SimConfig) -> list[str]:
         problems.append(f"nodes_per_zone must be >= 1, got {cfg.nodes_per_zone}")
     if cfg.rounds < 0:
         problems.append(f"rounds must be >= 0, got {cfg.rounds}")
-    if cfg.round_minutes < 1 or MINUTES_PER_DAY % cfg.round_minutes != 0:
+    if cfg.round_minutes < 1 or MINUTES_PER_HOUR % cfg.round_minutes != 0:
         problems.append(
-            f"round_minutes must be a positive divisor of {MINUTES_PER_DAY}, got {cfg.round_minutes}"
+            f"round_minutes must be a positive divisor of {MINUTES_PER_HOUR}, got {cfg.round_minutes}"
         )
     if not (0.0 < cfg.budget_fraction <= 1.0):
         problems.append(f"budget_fraction must be in (0, 1], got {cfg.budget_fraction}")
@@ -127,7 +128,19 @@ def validate_config(cfg: SimConfig) -> list[str]:
     lo, hi = cfg.energy_cost_range
     if not (0.0 < lo <= hi):
         problems.append(f"energy_cost_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    problem = seed_problem(cfg.seed)
+    if problem:
+        problems.append(problem)
     return problems
+
+
+def seed_problem(seed: int, name: str = "seed") -> str | None:
+    """The violation message for a seed outside [0, 2**64), else None. A
+    seed keys its random streams as one 64-bit word, so a wider one would
+    silently alias a seed inside the range."""
+    if 0 <= seed < 2 ** 64:
+        return None
+    return f"{name} must be in [0, 2**64), got {seed}"
 
 
 def require_valid(cfg: SimConfig) -> SimConfig:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,24 +247,47 @@ class ObservationState:
 
 class _NoiseSource:
     """Sequential standard-normal source with a fixed (round, node, pollutant)
-    layout, prefetched in chunks. Consumption never depends on which nodes
-    were selected, so rival policies under one seed share per-node noise.
-    Rounds must be visited in increasing order."""
+    layout, drawn in chunks of chunk_rounds rounds. Consumption never depends
+    on which nodes were selected, so rival policies under one seed share
+    per-node noise. Rounds must be visited in increasing order, below
+    `rounds`; no chunk past the one holding round rounds-1 is drawn.
 
-    def __init__(self, seed: int, per_round: int, chunk_rounds: int):
+    While the caller consumes one chunk, the next is drawn on a helper
+    thread, which numpy fills without holding the GIL. At most one draw is
+    in flight and it is awaited before the next starts, so one thread at a
+    time uses the generator, in chunk order: the draws are those of a
+    sequential source. Use as a context manager; leaving it stops the helper."""
+
+    def __init__(self, seed: int, per_round: int, chunk_rounds: int, rounds: int):
         self._gen = stream(seed, STREAM_READING)
         self._per_round = per_round
         self._chunk = max(1, chunk_rounds)
+        self._rounds = rounds
         self._buf: np.ndarray | None = None
         self._base = -1
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="edgesense-noise")
+        self._next: Future | None = self._draw(0)
+
+    def _draw(self, base: int) -> Future | None:
+        """Start drawing the chunk that begins at round base, if the run reaches it."""
+        if base >= self._rounds:
+            return None
+        return self._pool.submit(self._gen.standard_normal, self._chunk * self._per_round)
 
     def round_block(self, t: int) -> np.ndarray:
         base = (t // self._chunk) * self._chunk
         if base != self._base:
-            self._buf = self._gen.standard_normal(self._chunk * self._per_round)
-            self._buf = self._buf.reshape(self._chunk, self._per_round)
+            self._buf = self._next.result().reshape(self._chunk, self._per_round)
             self._base = base
+            self._next = self._draw(base + self._chunk)
         return self._buf[t - base]
+
+    def __enter__(self) -> "_NoiseSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # waits for a draw in flight; no helper thread outlives the source
+        self._pool.shutdown(wait=True)
 
 
 def run_simulation(
@@ -332,110 +356,109 @@ def run_simulation(
     max_violation = 0.0
     n_budgeted = 0
     values = traces.values
-    noise = _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day)
+    with _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day, cfg.rounds) as noise:
+        for t in range(cfg.rounds):
+            obs.evict(t)
+            merged = obs.merged()  # may hold NaN while some channel was never sampled
 
-    for t in range(cfg.rounds):
-        obs.evict(t)
-        merged = obs.merged()  # may hold NaN while some channel was never sampled
-
-        if policy_kind is PolicyKind.STATIC:
-            res = select_static(cand_ids, cand_costs)
-            budget_total = res.budget
-        elif policy_kind is PolicyKind.PERIODIC:
-            res = select_periodic(cand_ids, cand_costs, t, cfg.periodic_period, cfg.periodic_duty)
-            budget_total = res.budget
-        else:
-            # hierarchical budget split from observed context only: one
-            # budget per zone, or the whole fleet as one cluster
-            if cfg.hierarchy:
-                np.abs(obs.trend(t), out=context[:, 0])
-                context[:, 1] = fill_baseline(merged) if obs.unseen else merged
-                trend_level = hier.scalarize(context)
-                weights = hier.zone_interest_weights(trend_level[:, 0], trend_level[:, 1])
-                budgets = hier.allocate_budgets(global_budget, weights).tolist()
+            if policy_kind is PolicyKind.STATIC:
+                res = select_static(cand_ids, cand_costs)
+                budget_total = res.budget
+            elif policy_kind is PolicyKind.PERIODIC:
+                res = select_periodic(cand_ids, cand_costs, t, cfg.periodic_period, cfg.periodic_duty)
+                budget_total = res.budget
             else:
-                budgets = [global_budget]
-            # score the fleet once, then admit in every cluster in one call
-            if policy_kind is PolicyKind.UCB:
-                scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
+                # hierarchical budget split from observed context only: one
+                # budget per zone, or the whole fleet as one cluster
+                if cfg.hierarchy:
+                    np.abs(obs.trend(t), out=context[:, 0])
+                    context[:, 1] = fill_baseline(merged) if obs.unseen else merged
+                    trend_level = hier.scalarize(context)
+                    weights = hier.zone_interest_weights(trend_level[:, 0], trend_level[:, 1])
+                    budgets = hier.allocate_budgets(global_budget, weights).tolist()
+                else:
+                    budgets = [global_budget]
+                # score the fleet once, then admit in every cluster in one call
+                if policy_kind is PolicyKind.UCB:
+                    scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
+                else:
+                    scores = state.utilities / costs
+                res = select_budgeted(cand_ids, scores, costs, budgets, floor)
+                budget_total = float(sum(budgets))
+                n_budgeted += len(budgets)
+                for cost, budget in zip(res.cluster_cost.tolist(), budgets):
+                    max_violation = max(max_violation, cost - budget)
+
+            sel = res.selected
+            sel_costs = costs[sel]
+            spent = float(sel_costs.sum()) if sel.size else 0.0
+
+            # every selected node was fundable; it dies once it cannot fund the next activation
+            sel_pulls = pulls[sel] + 1
+            pulls[sel] = sel_pulls
+            total_spent += spent
+            newly_dead = sel[(sel_pulls + 1) * sel_costs > capacity]
+            if newly_dead.size:
+                fundable[newly_dead] = False
+                death_round[newly_dead] = t
+                cand_ids, cand_costs = node_ids[fundable], costs[fundable]
+
+            # readings for activated nodes only; the noise layout covers the whole
+            # fleet so selection cannot shift anyone else's draws
+            eps = noise.round_block(t).reshape(n, N_POLLUTANTS)
+            sel_zones = zone_of[sel]
+            # row gathers by take: the same rows as fancy indexing, at less overhead
+            measured = sensor_reading(values[t].take(sel_zones, axis=0), eps.take(sel, axis=0), cfg.noise_sigma)
+
+            # per-channel sums add each channel's readings in selection order; an
+            # empty round's bincount comes back as integers, hence the casts
+            channels = node_channels.take(sel, axis=0).ravel()
+            cur_sum = np.bincount(channels, measured.ravel(), n_channels).astype(np.float64, copy=False)
+            cur_sum = cur_sum.reshape(n_zones, N_POLLUTANTS)
+            cur_cnt = np.bincount(channels, None, n_channels).astype(np.float64).reshape(n_zones, N_POLLUTANTS)
+            cur_mean = np.divide(cur_sum, cur_cnt, out=no_mean.copy(), where=cur_cnt > 0)
+
+            bl = fill_baseline(merged, cur_mean) if obs.unseen else merged
+            # the max of each node's row, taken over a pollutant-major copy:
+            # max is exact, and this is cheaper than a max along short rows
+            feedback = np.ascontiguousarray(feedback_proxy(measured, bl.take(sel_zones, axis=0)).T).max(axis=0)
+
+            if policy_kind is PolicyKind.ADAPTIVE and sel.size:
+                state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
+            elif policy_kind is PolicyKind.UCB and sel.size:
+                # sel_pulls already counts this round's activation
+                payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
+                state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / sel_pulls
+
+            if sel.size:
+                rewards = reward(feedback, sel_costs, cfg.alpha, cfg.beta)
+                mean_reward = float(rewards.sum() / rewards.size)
             else:
-                scores = state.utilities / costs
-            res = select_budgeted(cand_ids, scores, costs, budgets, floor)
-            budget_total = float(sum(budgets))
-            n_budgeted += len(budgets)
-            for cost, budget in zip(res.cluster_cost.tolist(), budgets):
-                max_violation = max(max_violation, cost - budget)
+                mean_reward = 0.0
 
-        sel = res.selected
-        sel_costs = costs[sel]
-        spent = float(sel_costs.sum()) if sel.size else 0.0
+            newly_detected = []
+            if t in live_events and sel.size:
+                zone_peak = np.zeros(n_zones)
+                np.maximum.at(zone_peak, sel_zones, feedback)
+                for idx in live_events[t]:
+                    if not detected[idx] and zone_peak[events[idx].zone_id] >= cfg.detect_threshold:
+                        detected[idx] = True
+                        detect_round[idx] = t
+                        newly_detected.append(idx)
 
-        # every selected node was fundable; it dies once it cannot fund the next activation
-        sel_pulls = pulls[sel] + 1
-        pulls[sel] = sel_pulls
-        total_spent += spent
-        newly_dead = sel[(sel_pulls + 1) * sel_costs > capacity]
-        if newly_dead.size:
-            fundable[newly_dead] = False
-            death_round[newly_dead] = t
-            cand_ids, cand_costs = node_ids[fundable], costs[fundable]
+            obs.push(t, cur_sum, cur_cnt, cur_mean)
 
-        # readings for activated nodes only; the noise layout covers the whole
-        # fleet so selection cannot shift anyone else's draws
-        eps = noise.round_block(t).reshape(n, N_POLLUTANTS)
-        sel_zones = zone_of[sel]
-        # row gathers by take: the same rows as fancy indexing, at less overhead
-        measured = sensor_reading(values[t].take(sel_zones, axis=0), eps.take(sel, axis=0), cfg.noise_sigma)
-
-        # per-channel sums add each channel's readings in selection order; an
-        # empty round's bincount comes back as integers, hence the casts
-        channels = node_channels.take(sel, axis=0).ravel()
-        cur_sum = np.bincount(channels, measured.ravel(), n_channels).astype(np.float64, copy=False)
-        cur_sum = cur_sum.reshape(n_zones, N_POLLUTANTS)
-        cur_cnt = np.bincount(channels, None, n_channels).astype(np.float64).reshape(n_zones, N_POLLUTANTS)
-        cur_mean = np.divide(cur_sum, cur_cnt, out=no_mean.copy(), where=cur_cnt > 0)
-
-        bl = fill_baseline(merged, cur_mean) if obs.unseen else merged
-        # the max of each node's row, taken over a pollutant-major copy:
-        # max is exact, and this is cheaper than a max along short rows
-        feedback = np.ascontiguousarray(feedback_proxy(measured, bl.take(sel_zones, axis=0)).T).max(axis=0)
-
-        if policy_kind is PolicyKind.ADAPTIVE and sel.size:
-            state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
-        elif policy_kind is PolicyKind.UCB and sel.size:
-            # sel_pulls already counts this round's activation
-            payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
-            state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / sel_pulls
-
-        if sel.size:
-            rewards = reward(feedback, sel_costs, cfg.alpha, cfg.beta)
-            mean_reward = float(rewards.sum() / rewards.size)
-        else:
-            mean_reward = 0.0
-
-        newly_detected = []
-        if t in live_events and sel.size:
-            zone_peak = np.zeros(n_zones)
-            np.maximum.at(zone_peak, sel_zones, feedback)
-            for idx in live_events[t]:
-                if not detected[idx] and zone_peak[events[idx].zone_id] >= cfg.detect_threshold:
-                    detected[idx] = True
-                    detect_round[idx] = t
-                    newly_detected.append(idx)
-
-        obs.push(t, cur_sum, cur_cnt, cur_mean)
-
-        logs.append(
-            RoundLog(
-                round_index=t,
-                selected=sel,
-                spent=spent,
-                feedback=feedback,
-                detected_event_ids=tuple(newly_detected),
-                mean_reward=mean_reward,
-                budget_total=budget_total,
+            logs.append(
+                RoundLog(
+                    round_index=t,
+                    selected=sel,
+                    spent=spent,
+                    feedback=feedback,
+                    detected_event_ids=tuple(newly_detected),
+                    mean_reward=mean_reward,
+                    budget_total=budget_total,
+                )
             )
-        )
 
     return RunResult(
         config=cfg.to_dict(),

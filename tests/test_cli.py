@@ -121,9 +121,11 @@ class TestBasics:
         assert parse_seed_list("1..4") == [1, 2, 3, 4]
         assert parse_seed_list("5..5") == [5]
         assert parse_seed_list("1,,2") == [1, 2]  # stray commas are tolerated
-        for bad in ("", "a", "3..1", "1..x"):
+        for bad in ("", "a", "3..1", "1..x", "-1", "2,18446744073709551616", "-1..3",
+                    "1..18446744073709551616"):
             with pytest.raises(ValueError):
                 parse_seed_list(bad)
+        assert parse_seed_list("18446744073709551615") == [2 ** 64 - 1]
 
 
 class TestGenTrace:
@@ -393,9 +395,52 @@ class TestFailureModes:
         proc = run_cli("run", "--config", cfg_file, "--synthetic", "--policy", "static", "--out", str(out))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {problem}: {out}"]
+        # the path is checked before simulating, so no metrics are printed
+        assert proc.stdout == ""
         # no temp file is left behind
         assert os.listdir(tmp_path) == ["a-directory"]
         assert os.listdir(tmp_path / "a-directory") == []
+
+    @pytest.mark.parametrize("log_path, problem", [
+        ("missing/rounds.csv", "No such file or directory"),
+        ("a-file/rounds.csv", "Not a directory"),
+        ("a-directory", "Is a directory"),
+    ], ids=["missing-directory", "parent-is-a-file", "directory"])
+    def test_unwritable_round_log_fails_before_simulating(self, cfg_file, tmp_path, log_path, problem):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+        log_path = tmp_path / log_path
+        out = tmp_path / "run.json"
+        proc = run_cli("run", "--config", cfg_file, "--synthetic", "--policy", "static",
+                       "--out", str(out), "--round-log", str(log_path))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {problem}: {log_path}"]
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("minutes", [45, 90, 120, 360, 1440])
+    def test_round_minutes_must_divide_the_hour(self, cfg_file, minutes):
+        proc = run_cli("compare", "--config", cfg_file, "--synthetic", "--seeds", "1",
+                       "--set", f"round_minutes={minutes}")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: round_minutes must be a positive divisor of 60, got {minutes}"]
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seeds_outside_64_bits_exit_two(self, cfg_file, tmp_path, seed):
+        cases = [
+            (("compare", "--synthetic", f"--seeds={seed}"), "seed"),
+            (("compare", "--synthetic", f"--seeds={min(seed, 0)}..{max(seed, 0)}"), "seed"),
+            (("run", "--synthetic", "--policy", "static", "--seed", str(seed)), "--seed"),
+            (("gen-trace", "--seed", str(seed), "--out", str(tmp_path / "t.csv")), "--seed"),
+            (("run", "--synthetic", "--policy", "static", "--set", f"seed={seed}"), "seed"),
+        ]
+        for argv, name in cases:
+            proc = run_cli(*argv, "--config", cfg_file)
+            assert proc.returncode == 2, argv
+            assert proc.stderr.splitlines() == [f"error: {name} must be in [0, 2**64), got {seed}"], argv
+            assert proc.stdout == "", argv
+        assert not (tmp_path / "t.csv").exists()
 
     def test_policy_names_round_trip(self):
         for kind in PolicyKind:

@@ -70,6 +70,15 @@ class TestConfigValidation:
         assert validate_config(SimConfig(round_minutes=15)) == []
         assert validate_config(SimConfig(round_minutes=60)) == []
         assert validate_config(SimConfig(round_minutes=7)) != []
+        # rounds subdivide the hourly trace, so a divisor of the day is not enough
+        for minutes in (45, 90, 120, 360, 1440):
+            assert validate_config(SimConfig(round_minutes=minutes)) != []
+
+    def test_seed_must_fit_64_bits(self):
+        assert validate_config(SimConfig(seed=0)) == []
+        assert validate_config(SimConfig(seed=2 ** 64 - 1)) == []
+        for seed in (-1, 2 ** 64):
+            assert validate_config(SimConfig(seed=seed)) == [f"seed must be in [0, 2**64), got {seed}"]
 
     def test_duty_bounded_by_period(self):
         assert validate_config(SimConfig(periodic_period=5, periodic_duty=6)) != []

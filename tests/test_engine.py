@@ -1,6 +1,7 @@
 """Engine behaviour: readings, feedback, observation state, full simulations."""
 
 import csv
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from edgesense import engine
 from edgesense._util import stable_json
 from edgesense.core import (
     ConfigError,
@@ -31,7 +33,7 @@ from edgesense.engine import (
     sensor_reading,
     write_round_log_csv,
 )
-from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER
+from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, select_static
 from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
 from oracles import mark_detections, round_log_csv, trend_slope, window_mean
 
@@ -263,10 +265,49 @@ class TestNoiseSource:
     def test_chunking_never_changes_the_stream(self):
         per_round = 12
         raw = stream(3, STREAM_READING).standard_normal(30 * per_round).reshape(30, per_round)
-        for chunk in (1, 5, 7):
-            src = _NoiseSource(3, per_round, chunk_rounds=chunk)
-            got = np.stack([src.round_block(t) for t in range(30)])
-            assert np.array_equal(got, raw)
+        for rounds in (30, 29, 0):
+            for chunk in (1, 5, 7):
+                with _NoiseSource(3, per_round, chunk_rounds=chunk, rounds=rounds) as src:
+                    got = np.stack([src.round_block(t) for t in range(rounds)]) if rounds else raw[:0]
+                assert np.array_equal(got, raw[:rounds])
+                # whole chunks up to the one holding the last round were
+                # drawn, and nothing past it
+                drawn = -(-rounds // chunk) * chunk * per_round
+                ref = stream(3, STREAM_READING)
+                ref.standard_normal(drawn)
+                assert np.array_equal(src._gen.standard_normal(4), ref.standard_normal(4))
+
+
+class TestHelperThreads:
+    """The noise prefetch thread never outlives run_simulation."""
+
+    CFG = SimConfig(n_zones=2, nodes_per_zone=3, rounds=300, seed=5)
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return build_round_trace(self.CFG, generate_synthetic(self.CFG, rng_seed=self.CFG.seed))
+
+    def test_a_run_that_returns_leaves_no_thread(self, traces):
+        before = threading.enumerate()
+        run = run_simulation(self.CFG, traces, "static")
+        assert run.n_rounds == 300
+        assert threading.enumerate() == before
+
+    def test_a_run_that_raises_leaves_no_thread(self, traces, monkeypatch):
+        calls = []
+
+        def failing_select_static(cand_ids, cand_costs):
+            calls.append(None)
+            if len(calls) > 150:
+                raise RuntimeError("selector failed")
+            return select_static(cand_ids, cand_costs)
+
+        monkeypatch.setattr(engine, "select_static", failing_select_static)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="selector failed"):
+            run_simulation(self.CFG, traces, "static")
+        assert len(calls) == 151  # it raised in round 150
+        assert threading.enumerate() == before
 
 
 @pytest.fixture(scope="module")
