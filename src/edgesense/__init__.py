@@ -19,7 +19,7 @@ from .core import (
 )
 from .engine import RunResult, run_simulation
 from .metrics import Comparison, RunMetrics, compare, compute_run_metrics
-from .policy import PolicyKind, SelectionResult
+from .policy import PolicyKind
 from .trace import EventSpec, TraceError, TraceSet, generate_synthetic
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "compare",
     "compute_run_metrics",
     "PolicyKind",
-    "SelectionResult",
     "EventSpec",
     "TraceError",
     "TraceSet",

@@ -40,6 +40,10 @@ POLLUTANT_INDEX = {p: i for i, p in enumerate(POLLUTANTS)}
 
 MINUTES_PER_DAY = 1440
 MINUTES_PER_HOUR = 60  # rounds subdivide the hourly trace, so they divide the hour
+# Reading noise is relative to the true value (engine.sensor_reading). Past
+# 1 it outweighs the signal, and a huge sigma overflows the readings, so
+# every feedback turns NaN and the tables come out wrong without an error.
+MAX_NOISE_SIGMA = 1.0
 
 
 @dataclass
@@ -123,8 +127,8 @@ def validate_config(cfg: SimConfig) -> list[str]:
         )
     if cfg.battery_capacity <= 0:
         problems.append(f"battery_capacity must be > 0, got {cfg.battery_capacity}")
-    if cfg.noise_sigma < 0:
-        problems.append(f"noise_sigma must be >= 0, got {cfg.noise_sigma}")
+    if not 0.0 <= cfg.noise_sigma <= MAX_NOISE_SIGMA:
+        problems.append(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}], got {cfg.noise_sigma}")
     lo, hi = cfg.energy_cost_range
     if not (0.0 < lo <= hi):
         problems.append(f"energy_cost_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")

@@ -96,7 +96,8 @@ def compute_run_metrics(run: RunResult) -> RunMetrics:
 @dataclass
 class PolicySummary:
     """One policy's metrics aggregated over seeds, plus columns relative to
-    the static baseline (None when static was not part of the comparison)."""
+    the static baseline (None when static was not part of the comparison;
+    energy and lifetime ones also when static spent nothing)."""
 
     policy: str
     n_seeds: int
@@ -190,7 +191,10 @@ def compare(runs: list[RunResult], policy_order: list[str] | None = None) -> Com
                 s.detection_delta_pp = 0.0 if s.detection_mean is not None else None
                 s.lifetime_extension_pct = 0.0
                 continue
-            s.energy_reduction_pct = -percent_change(s.energy_mean, base.energy_mean)
+            if base.energy_mean > 0:
+                # static spends nothing when no node can fund an activation
+                # or no round is run: then there is no baseline to cut from
+                s.energy_reduction_pct = -percent_change(s.energy_mean, base.energy_mean)
             if s.detection_mean is not None and base.detection_mean is not None:
                 s.detection_delta_pp = (s.detection_mean - base.detection_mean) * 100.0
             if math.isfinite(s.lifetime) and math.isfinite(base.lifetime) and base.lifetime > 0:

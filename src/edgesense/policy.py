@@ -38,16 +38,6 @@ INITIAL_UTILITY = 1.0  # optimistic start so every node gets tried early
 
 
 @dataclass
-class SelectionResult:
-    """Outcome of a fixed-schedule selection pass: node ids in admission
-    order, their summed energy cost, and the budget the selector reports."""
-
-    selected: np.ndarray
-    total_cost: float
-    budget: float
-
-
-@dataclass
 class BudgetedSelection:
     """Outcome of one round of budgeted admission over every cluster: the
     admitted node ids (int64), cluster by cluster and each cluster's in
@@ -209,27 +199,23 @@ def _admit_wide(order: np.ndarray, cost: np.ndarray, budgets) -> BudgetedSelecti
     return BudgetedSelection(order[admitted], total)
 
 
-def select_static(node_ids, energy_cost) -> SelectionResult:
-    """Activate every supplied (alive) node. The reported budget is simply
-    the summed cost, since this policy has no energy cap."""
-    ids = np.asarray(node_ids, dtype=np.int64)
-    total = float(np.asarray(energy_cost, dtype=np.float64).sum()) if ids.size else 0.0
-    return SelectionResult(selected=ids, total_cost=total, budget=total)
+def select_static(node_ids, energy_cost) -> np.ndarray:
+    """Activate every supplied (alive) node: their ids as int64. A fixed
+    schedule has no energy cap, so the costs do not enter the choice; they
+    are taken to keep one call shape for the fixed selectors."""
+    return np.asarray(node_ids, dtype=np.int64)
 
 
-def select_periodic(node_ids, energy_cost, round_index: int, period: int, duty: int) -> SelectionResult:
-    """Duty-cycled activation with per-node phase stagger: node n is active
-    when (round + n) mod period < duty."""
+def select_periodic(node_ids, energy_cost, round_index: int, period: int, duty: int) -> np.ndarray:
+    """Duty-cycled activation with per-node phase stagger: the ids (int64,
+    in the order given) of the nodes n with (round + n) mod period < duty.
+    The costs do not enter the choice, as in select_static."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     if not (0 <= duty <= period):
         raise ValueError(f"duty must be in [0, period], got {duty}")
     ids = np.asarray(node_ids, dtype=np.int64)
-    costs = np.asarray(energy_cost, dtype=np.float64)
-    mask = (round_index + ids) % period < duty
-    chosen = ids[mask]
-    total = float(costs[mask].sum()) if chosen.size else 0.0
-    return SelectionResult(selected=chosen, total_cost=total, budget=total)
+    return ids[(round_index + ids) % period < duty]
 
 
 def ucb_scores(means, counts, energy_cost, round_index: int, c: float) -> np.ndarray:

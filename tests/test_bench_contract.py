@@ -87,3 +87,27 @@ def test_budgeted_runs_feed_the_selection_counters(bench, monkeypatch, n_zones, 
     assert seen == [(a, len(lg.selected)) for a, lg in zip(alive, run.logs)]
     assert min(alive) < run.n_nodes  # nodes die, so the candidate count moves
     assert (run.n_nodes > WIDE_FLEET) == wide
+
+
+@pytest.mark.parametrize("n_zones, nodes_per_zone, by_day", [(3, 4, True), (4, 50, False)], ids=["day", "round"])
+@pytest.mark.parametrize("policy", ["static", "periodic"])
+def test_fixed_runs_call_their_selector_once_a_round(monkeypatch, n_zones, nodes_per_zone, by_day, policy):
+    # policy.fixed_select_s wraps engine.select_static and
+    # engine.select_periodic; the day-at-a-time path and the round loop must
+    # both call them there, once a round, and log what they return
+    cfg = SimConfig(n_zones=n_zones, nodes_per_zone=nodes_per_zone, rounds=200, battery_capacity=150.0)
+    traces = trace.build_round_trace(cfg, trace.generate_synthetic(cfg))
+    name = f"select_{policy}"
+    original = getattr(engine, name)
+    returned = []
+
+    def counting(*args):
+        res = original(*args)
+        returned.append(res.tolist())
+        return res
+
+    monkeypatch.setattr(engine, name, counting)
+    run = engine.run_simulation(cfg, traces, policy)
+    assert returned == [lg.selected.tolist() for lg in run.logs]
+    assert len(returned) == cfg.rounds
+    assert (run.n_nodes <= engine.FIXED_DAY_FLEET) == by_day

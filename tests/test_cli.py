@@ -426,6 +426,32 @@ class TestFailureModes:
         assert proc.stderr.splitlines() == [
             f"error: round_minutes must be a positive divisor of 60, got {minutes}"]
 
+    def test_overflowing_noise_exits_two(self, cfg_file):
+        # readings would overflow, and every table cell would read as if
+        # the run were sound
+        proc = run_cli("compare", "--config", cfg_file, "--synthetic", "--seeds", "1",
+                       "--set", "noise_sigma=1e308")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: noise_sigma must be in [0, 1], got 1e+308"]
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("setting", ["rounds=0", "battery_capacity=0.5"], ids=["no-rounds", "no-fundable-node"])
+    def test_a_baseline_that_spends_nothing_leaves_relative_columns_empty(self, cfg_file, tmp_path, setting):
+        # static spends nothing when no round runs or no node can fund an
+        # activation, so there is no energy to cut from or lifetime to extend
+        out = tmp_path / "cmp"
+        proc = run_cli("compare", "--config", cfg_file, "--synthetic", "--seeds", "1",
+                       "--set", setting, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[2:6]}
+        assert rows["static"][-3:] == ["baseline"] * 3
+        for policy in ("periodic", "ucb", "adaptive"):
+            assert rows[policy][1] == "0.0"  # energy mAh/day
+            assert rows[policy][-3] == rows[policy][-1] == "n/a"
+        assert "nan" not in proc.stdout.lower()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [p["energy_reduction_pct"] for p in summary["policies"]] == [0.0, None, None, None]
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seeds_outside_64_bits_exit_two(self, cfg_file, tmp_path, seed):
         cases = [
