@@ -327,6 +327,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a world too large for this host, such as rounds=10**11
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         log.exception("unexpected failure")
         print(f"internal error: {exc}", file=sys.stderr)

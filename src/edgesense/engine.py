@@ -239,19 +239,20 @@ class ObservationState:
         self._push_trend(now, cur_mean)
 
     def push_day(self, start: int, cur_sum: np.ndarray, cur_cnt: np.ndarray, cur_mean: np.ndarray) -> np.ndarray:
-        """evict and push each round of the day that begins at round start,
-        a multiple of window: cur_* hold one row per round, at most window
-        rows, as push takes them. Returns, stacked per round, what merged()
+        """evict and push each round of a block that begins at round start
+        and ends by the next multiple of window: cur_* hold one row per
+        round, as push takes them. Returns, stacked per round, what merged()
         gives after that round's evict. The floats are those of the
         per-round calls: the window sums run through one sequential
         accumulate over the rows [carry, -evicted_0, cur_0, -evicted_1,
         cur_1, ...], and x - y is x + (-y) in IEEE 754. Before the window
         first fills, its ring holds zeros, and adding -0.0 changes nothing."""
         length = len(cur_sum)
-        if start % self.window or length > self.window:
-            raise ValueError(f"a day of {length} rounds from round {start} does not fit window {self.window}")
-        win_sum = self._run_window(self.win_sum, self.ring_sum[:length], cur_sum)
-        win_cnt = self._run_window(self.win_cnt, self.ring_cnt[:length], cur_cnt)
+        slots = slice(start % self.window, start % self.window + length)
+        if slots.stop > self.window:
+            raise ValueError(f"a block of {length} rounds from round {start} crosses the end of window {self.window}")
+        win_sum = self._run_window(self.win_sum, self.ring_sum[slots], cur_sum)
+        win_cnt = self._run_window(self.win_cnt, self.ring_cnt[slots], cur_cnt)
         # the first observations made before each round
         first = np.broadcast_to(self.first_obs, cur_mean.shape).copy()
         if self.unseen:
@@ -263,11 +264,11 @@ class ObservationState:
             self.first_obs[fresh] = value[fresh]
             self.unseen -= int(np.count_nonzero(fresh))
         merged = np.divide(win_sum[1::2], win_cnt[1::2], out=first, where=win_cnt[1::2] > 0)
-        self.ring_sum[:length] = cur_sum
-        self.ring_cnt[:length] = cur_cnt
+        self.ring_sum[slots] = cur_sum
+        self.ring_cnt[slots] = cur_cnt
         self.win_sum[...] = win_sum[-1]
         self.win_cnt[...] = win_cnt[-1]
-        # only the day's last TREND_WINDOW rounds stay in the trend window
+        # only the block's last TREND_WINDOW rounds stay in the trend window
         for i in range(max(0, length - TREND_WINDOW), length):
             self._push_trend(start + i, cur_mean[i])
         return merged
@@ -357,7 +358,7 @@ class _Batteries:
         self._node_ids = np.arange(n, dtype=np.int64)
         # a static run logs cand_ids itself as each round's selection, so it
         # is replaced, never written to
-        self.cand_ids, self.cand_costs = self._node_ids[self.fundable], costs[self.fundable]
+        self.cand_ids = self._node_ids[self.fundable]
 
     def activate(self, sel: np.ndarray, sel_costs: np.ndarray, t: int) -> np.ndarray:
         """Charge round t's selection, every node of it fundable, and return
@@ -368,7 +369,7 @@ class _Batteries:
         if newly_dead.size:
             self.fundable[newly_dead] = False
             self.death_round[newly_dead] = t
-            self.cand_ids, self.cand_costs = self._node_ids[self.fundable], self.costs[self.fundable]
+            self.cand_ids = self._node_ids[self.fundable]
         return sel_pulls
 
 
@@ -399,22 +400,15 @@ class _Detections:
         return tuple(newly_detected)
 
 
-def _select_fixed(policy_kind: PolicyKind, cfg: SimConfig, batteries: _Batteries, t: int) -> np.ndarray:
-    if policy_kind is PolicyKind.STATIC:
-        return select_static(batteries.cand_ids, batteries.cand_costs)
-    return select_periodic(batteries.cand_ids, batteries.cand_costs, t, cfg.periodic_period, cfg.periodic_duty)
-
-
-# Fixed-schedule runs on fleets of at most FIXED_DAY_FLEET nodes go a day at
-# a time (_run_fixed_days), wider ones round by round. Round-loop time over
-# day-path time per 2880-round run, static/periodic, median of 7 alternating
-# runs (3 at 500 and 1000 nodes) on a 2-vCPU x86 VM: 2.6/2.2 at 40 nodes,
-# 1.9/1.9 at 80, 1.6/1.8 at 100, 1.7/1.7 at 120, 1.3/1.4 at 160, 1.2-1.25/
-# 1.35-1.45 at 200, 0.93/1.14 at 300, 0.72/0.84 at 500 and 0.62/0.89 at 1000.
-# The crossover lies between 200 and 300 nodes. The bound keeps a margin
-# below it: a day's temporaries grow with the fleet, and the gain shrinks
-# toward 1 as they outgrow the cache.
-FIXED_DAY_FLEET = 160
+# Most (round, node) rows in one block of a fixed-schedule run (_run_fixed):
+# at 15-minute rounds, whole days up to 83 nodes, 40 rounds at 200, 8 at 1000.
+# Time per 2880-round run over the round loop's (which ran wide fleets before),
+# static/periodic, median of 11 paired in-process ratios (2-vCPU x86 VM):
+#   rows        4000       6000       8000       12000      16000      24000
+#   1000 nodes  1.19/1.12  1.11/1.05  1.09/1.01  1.13/0.95  1.15/0.93  1.17/0.93
+#   200 nodes   0.66/0.65  0.64/0.64  0.63/0.63  0.64/0.63  0.65/0.63  0.71/0.60
+# Wider blocks spill the cache, narrower ones repeat a block's fixed cost.
+FIXED_BLOCK_ROWS = 8000
 
 
 def run_simulation(
@@ -427,9 +421,8 @@ def run_simulation(
     cfg.seed) drives fleet energy costs and sensor noise; the trace itself
     is taken as given so rival policies can share one world.
 
-    A fixed-schedule run (static or periodic) on a fleet of at most
-    FIXED_DAY_FLEET nodes goes a day at a time; the result is the same
-    bytes the round loop gives."""
+    A fixed-schedule run (static or periodic) goes in blocks of rounds
+    (_run_fixed); ucb and adaptive go round by round (_run_rounds)."""
     require_valid(cfg)
     policy_kind = PolicyKind.from_name(policy_kind) if isinstance(policy_kind, str) else policy_kind
     seed = cfg.seed if seed is None else seed
@@ -456,13 +449,11 @@ def run_simulation(
     detections = _Detections(events, cfg.rounds, cfg.detect_threshold)
 
     with _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day, cfg.rounds) as noise:
-        if policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC) and n <= FIXED_DAY_FLEET:
-            logs, total_spent = _run_fixed_days(cfg, policy_kind, traces.values, noise, batteries, zone_of,
-                                                obs, detections)
-            max_violation, n_budgeted = 0.0, 0  # a fixed schedule has no budget
+        if policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC):
+            result = _run_fixed(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs, detections)
         else:
-            logs, total_spent, max_violation, n_budgeted = _run_rounds(
-                cfg, policy_kind, traces.values, noise, batteries, zone_of, obs, detections, state)
+            result = _run_rounds(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs, detections, state)
+    logs, total_spent, max_violation, n_budgeted = result
 
     return RunResult(
         config=cfg.to_dict(),
@@ -487,13 +478,13 @@ def run_simulation(
 
 
 def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detections, state):
-    """run_simulation's round loop. Returns the logs, the total spend, the
-    worst budget overspend and the number of budgeted cluster selections."""
+    """run_simulation's round loop for ucb and adaptive. Returns the logs,
+    the total spend, the worst budget overspend and the number of budgeted
+    cluster selections."""
     costs = batteries.costs
     n = costs.size
     pulls = batteries.pulls
     max_energy = float(costs.max())
-    fixed = policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC)
     # flat (zone, pollutant) channel of each node's readings, for np.bincount
     n_zones = cfg.n_zones
     n_channels = n_zones * N_POLLUTANTS
@@ -513,35 +504,30 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detect
         obs.evict(t)
         merged = obs.merged()  # may hold NaN while some channel was never sampled
 
-        if fixed:
-            sel = _select_fixed(policy_kind, cfg, batteries, t)
+        # hierarchical budget split from observed context only: one budget
+        # per zone, or the whole fleet as one cluster
+        if cfg.hierarchy:
+            np.abs(obs.trend(t), out=context[:, 0])
+            context[:, 1] = fill_baseline(merged) if obs.unseen else merged
+            trend_level = hier.scalarize(context)
+            weights = hier.zone_interest_weights(trend_level[:, 0], trend_level[:, 1])
+            budgets = hier.allocate_budgets(global_budget, weights).tolist()
         else:
-            # hierarchical budget split from observed context only: one
-            # budget per zone, or the whole fleet as one cluster
-            if cfg.hierarchy:
-                np.abs(obs.trend(t), out=context[:, 0])
-                context[:, 1] = fill_baseline(merged) if obs.unseen else merged
-                trend_level = hier.scalarize(context)
-                weights = hier.zone_interest_weights(trend_level[:, 0], trend_level[:, 1])
-                budgets = hier.allocate_budgets(global_budget, weights).tolist()
-            else:
-                budgets = [global_budget]
-            # score the fleet once, then admit in every cluster in one call
-            if policy_kind is PolicyKind.UCB:
-                scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
-            else:
-                scores = state.utilities / costs
-            res = select_budgeted(batteries.cand_ids, scores, costs, budgets, floor)
-            sel = res.selected
-            budget_total = float(sum(budgets))
-            n_budgeted += len(budgets)
-            for cost, budget in zip(res.cluster_cost.tolist(), budgets):
-                max_violation = max(max_violation, cost - budget)
+            budgets = [global_budget]
+        # score the fleet once, then admit in every cluster in one call
+        if policy_kind is PolicyKind.UCB:
+            scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
+        else:
+            scores = state.utilities / costs
+        res = select_budgeted(batteries.cand_ids, scores, costs, budgets, floor)
+        sel = res.selected
+        budget_total = float(sum(budgets))
+        n_budgeted += len(budgets)
+        for cost, budget in zip(res.cluster_cost.tolist(), budgets):
+            max_violation = max(max_violation, cost - budget)
 
         sel_costs = costs[sel]
         spent = float(sel_costs.sum()) if sel.size else 0.0
-        if fixed:
-            budget_total = spent  # a fixed schedule has no cap: it reports what it spends
         total_spent += spent
         sel_pulls = batteries.activate(sel, sel_costs, t)
 
@@ -565,18 +551,16 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detect
         # max is exact, and this is cheaper than a max along short rows
         feedback = np.ascontiguousarray(feedback_proxy(measured, bl.take(sel_zones, axis=0)).T).max(axis=0)
 
-        if policy_kind is PolicyKind.ADAPTIVE and sel.size:
-            state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
-        elif policy_kind is PolicyKind.UCB and sel.size:
-            # sel_pulls already counts this round's activation
-            payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
-            state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / sel_pulls
-
+        mean_reward = 0.0
         if sel.size:
+            if policy_kind is PolicyKind.ADAPTIVE:
+                state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
+            else:
+                # sel_pulls already counts this round's activation
+                payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
+                state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / sel_pulls
             rewards = reward(feedback, sel_costs, cfg.alpha, cfg.beta)
             mean_reward = float(rewards.sum() / rewards.size)
-        else:
-            mean_reward = 0.0
 
         newly_detected = ()
         if t in live_rounds and sel.size:
@@ -600,27 +584,31 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detect
     return logs, total_spent, max_violation, n_budgeted
 
 
-def _run_fixed_days(cfg, policy_kind, values, noise, batteries, zone_of, obs, detections):
-    """_run_rounds for a fixed-schedule run, a day at a time. A day is one
-    noise chunk and one baseline window (rounds_per_day rounds). A fixed
+def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs, detections):
+    """run_simulation's loop for static and periodic, in blocks of at least
+    one round and at most FIXED_BLOCK_ROWS (round, node) rows. A block never
+    crosses a day, which is one noise chunk and one baseline window. A fixed
     schedule never reads the observation state, so only selection and the
     batteries go round by round; readings, channel sums, the window,
     baselines, feedback, rewards and detection peaks are array passes over
-    the day's (round, node) rows, each element computed by the same float
-    operations in the same order as in the round loop. Spend and mean
-    reward stay sums over one round's contiguous rows, in round order, so
-    their pairwise summation order is the round loop's too. Returns the
-    logs and the total spend."""
+    the block's rows, each element computed by the same float operations in
+    the same order as in a single round. Spend and mean reward stay sums
+    over one round's contiguous rows, so their pairwise summation order is
+    a round's too. Returns what _run_rounds returns."""
     costs = batteries.costs
-    n, n_zones, n_pollutants = costs.size, cfg.n_zones, N_POLLUTANTS
-    pollutants = np.arange(n_pollutants)
+    n, n_zones, per_day = costs.size, cfg.n_zones, cfg.rounds_per_day
+    block = max(1, min(per_day, FIXED_BLOCK_ROWS // n))
     logs: list[RoundLog] = []
     total_spent = 0.0
-    for base in range(0, cfg.rounds, cfg.rounds_per_day):
-        length = min(cfg.rounds_per_day, cfg.rounds - base)
+    base = 0
+    while base < cfg.rounds:
+        length = min(block, per_day - base % per_day, cfg.rounds - base)
         sels, spents = [], []
         for t in range(base, base + length):
-            sel = _select_fixed(policy_kind, cfg, batteries, t)
+            if policy_kind is PolicyKind.STATIC:
+                sel = select_static(batteries.cand_ids)
+            else:
+                sel = select_periodic(batteries.cand_ids, t, cfg.periodic_period, cfg.periodic_duty)
             sel_costs = costs[sel]
             spent = float(sel_costs.sum()) if sel.size else 0.0
             total_spent += spent
@@ -628,29 +616,30 @@ def _run_fixed_days(cfg, policy_kind, values, noise, batteries, zone_of, obs, de
             sels.append(sel)
             spents.append(spent)
 
-        # the day's rows, round by round and in selection order within a
+        # the block's rows, round by round and in selection order within a
         # round, and the (round, zone) cell of each, counted from base
         counts = [sel.size for sel in sels]
         rows = np.concatenate(sels)
         row_round = np.repeat(np.arange(length), counts)
         cell = row_round * n_zones + zone_of[rows]
-        eps = noise.chunk_of(base)[:length].reshape(length * n, n_pollutants).take(row_round * n + rows, axis=0)
-        truth = values[base:base + length].reshape(length * n_zones, n_pollutants).take(cell, axis=0)
+        eps = noise.chunk_of(base).reshape(-1, N_POLLUTANTS).take((row_round + base % per_day) * n + rows, axis=0)
+        truth = values[base:base + length].reshape(-1, N_POLLUTANTS).take(cell, axis=0)
         measured = sensor_reading(truth, eps, cfg.noise_sigma)
 
         # per-(round, channel) sums: bincount adds each bin's readings in row
-        # order; a day without readings comes back as integers, hence the casts
-        keys = (cell[:, None] * n_pollutants + pollutants).ravel()
-        shape = (length, n_zones, n_pollutants)
-        cur_sum = np.bincount(keys, measured.ravel(), length * n_zones * n_pollutants)
+        # order, and counts a cell's rows once for all its pollutants; a block
+        # without readings comes back as integers, hence the casts
+        keys = (cell[:, None] * N_POLLUTANTS + np.arange(N_POLLUTANTS)).ravel()
+        shape = (length, n_zones, N_POLLUTANTS)
+        cur_sum = np.bincount(keys, measured.ravel(), length * n_zones * N_POLLUTANTS)
         cur_sum = cur_sum.astype(np.float64, copy=False).reshape(shape)
-        cur_cnt = np.bincount(keys, None, length * n_zones * n_pollutants).astype(np.float64).reshape(shape)
+        cur_cnt = np.repeat(np.bincount(cell, None, length * n_zones), N_POLLUTANTS).astype(np.float64).reshape(shape)
         cur_mean = np.divide(cur_sum, cur_cnt, out=np.full(shape, np.nan), where=cur_cnt > 0)
 
         # fill_baseline leaves a merged window without NaN as it is, which
-        # is what the round loop uses once every channel has been seen
+        # is what a round-by-round walk uses once every channel has been seen
         bl = fill_baseline(obs.push_day(base, cur_sum, cur_cnt, cur_mean), cur_mean)
-        bl = bl.reshape(length * n_zones, n_pollutants).take(cell, axis=0)
+        bl = bl.reshape(-1, N_POLLUTANTS).take(cell, axis=0)
         feedback = np.ascontiguousarray(feedback_proxy(measured, bl).T).max(axis=0)
         rewards = reward(feedback, costs[rows], cfg.alpha, cfg.beta)
 
@@ -673,10 +662,11 @@ def _run_fixed_days(cfg, policy_kind, values, noise, batteries, zone_of, obs, de
                     feedback=feedback[start:end],
                     detected_event_ids=newly_detected.get(t, ()),
                     mean_reward=float(rewards[start:end].sum() / sel.size) if sel.size else 0.0,
-                    budget_total=spent,
+                    budget_total=spent,  # a fixed schedule has no cap: it reports what it spends
                 )
             )
-    return logs, total_spent
+        base += length
+    return logs, total_spent, 0.0, 0  # a fixed schedule has no budget to overspend
 
 
 def save_run(run: RunResult, path: str) -> None:

@@ -25,12 +25,12 @@ BASELINE_POLICY = "static"
 
 def lifetime_estimate(battery_capacity: float, daily_energy: float) -> float:
     """Projected days until a node at the average spend rate empties its
-    battery, rounded half away from zero. Zero spend means no horizon."""
+    battery, rounded half away from zero. Zero spend means no horizon, and
+    so does a horizon beyond the float range."""
     if daily_energy < 0:
         raise ValueError(f"daily_energy must be >= 0, got {daily_energy}")
-    if daily_energy == 0:
-        return math.inf
-    return float(math.floor(battery_capacity / daily_energy + 0.5))
+    days = battery_capacity / daily_energy if daily_energy else math.inf
+    return float(math.floor(days + 0.5)) if days < math.inf else math.inf
 
 
 def percent_change(value: float, baseline: float) -> float:

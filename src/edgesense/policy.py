@@ -199,17 +199,16 @@ def _admit_wide(order: np.ndarray, cost: np.ndarray, budgets) -> BudgetedSelecti
     return BudgetedSelection(order[admitted], total)
 
 
-def select_static(node_ids, energy_cost) -> np.ndarray:
+def select_static(node_ids) -> np.ndarray:
     """Activate every supplied (alive) node: their ids as int64. A fixed
-    schedule has no energy cap, so the costs do not enter the choice; they
-    are taken to keep one call shape for the fixed selectors."""
+    schedule has no energy cap, so costs do not enter the choice."""
     return np.asarray(node_ids, dtype=np.int64)
 
 
-def select_periodic(node_ids, energy_cost, round_index: int, period: int, duty: int) -> np.ndarray:
+def select_periodic(node_ids, round_index: int, period: int, duty: int) -> np.ndarray:
     """Duty-cycled activation with per-node phase stagger: the ids (int64,
     in the order given) of the nodes n with (round + n) mod period < duty.
-    The costs do not enter the choice, as in select_static."""
+    Costs do not enter the choice, as in select_static."""
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     if not (0 <= duty <= period):

@@ -55,6 +55,10 @@ DEFAULT_EVENT_RATE = 0.4            # events per zone per day
 EVENT_DURATION = (4, 16)            # rounds, inclusive bounds
 EVENT_MAGNITUDE = (2.0, 5.0)
 
+# Largest trace value accepted: readings, baseline window sums and trend sums
+# of such values stay over 200 orders of magnitude below the float maximum.
+MAX_TRACE_VALUE = 1e100
+
 CSV_HEADER = ["timestamp", "zone_id", "pollutant", "value"]
 TRACE_EPOCH = datetime(2026, 1, 1, 0, 0, 0, tzinfo=timezone.utc)
 
@@ -115,6 +119,8 @@ def check_values(values: np.ndarray) -> None:
         raise TraceError("trace values must be finite")
     if np.any(values < 0):
         raise TraceError("trace values must be non-negative")
+    if np.any(values > MAX_TRACE_VALUE):
+        raise TraceError(f"trace values must be at most {MAX_TRACE_VALUE:g}, got {values.max():g}")
 
 
 # --- CSV ingestion ----------------------------------------------------------

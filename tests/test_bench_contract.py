@@ -89,13 +89,18 @@ def test_budgeted_runs_feed_the_selection_counters(bench, monkeypatch, n_zones, 
     assert (run.n_nodes > WIDE_FLEET) == wide
 
 
-@pytest.mark.parametrize("n_zones, nodes_per_zone, by_day", [(3, 4, True), (4, 50, False)], ids=["day", "round"])
+@pytest.mark.parametrize("n_zones, nodes_per_zone, block_rows", [(3, 4, None), (4, 50, 1)], ids=["day", "round"])
 @pytest.mark.parametrize("policy", ["static", "periodic"])
-def test_fixed_runs_call_their_selector_once_a_round(monkeypatch, n_zones, nodes_per_zone, by_day, policy):
+def test_fixed_runs_call_their_selector_once_a_round(monkeypatch, n_zones, nodes_per_zone, block_rows, policy):
     # policy.fixed_select_s wraps engine.select_static and
-    # engine.select_periodic; the day-at-a-time path and the round loop must
-    # both call them there, once a round, and log what they return
+    # engine.select_periodic; a fixed-schedule run must call them there,
+    # once a round, and log what they return, whether its blocks are whole
+    # days or single rounds
     cfg = SimConfig(n_zones=n_zones, nodes_per_zone=nodes_per_zone, rounds=200, battery_capacity=150.0)
+    if block_rows is None:
+        assert cfg.n_nodes * cfg.rounds_per_day <= engine.FIXED_BLOCK_ROWS
+    else:
+        monkeypatch.setattr(engine, "FIXED_BLOCK_ROWS", block_rows)
     traces = trace.build_round_trace(cfg, trace.generate_synthetic(cfg))
     name = f"select_{policy}"
     original = getattr(engine, name)
@@ -110,4 +115,3 @@ def test_fixed_runs_call_their_selector_once_a_round(monkeypatch, n_zones, nodes
     run = engine.run_simulation(cfg, traces, policy)
     assert returned == [lg.selected.tolist() for lg in run.logs]
     assert len(returned) == cfg.rounds
-    assert (run.n_nodes <= engine.FIXED_DAY_FLEET) == by_day

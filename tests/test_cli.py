@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from edgesense import engine, trace
+from edgesense import cli, engine, trace
 from edgesense.cli import parse_seed_list
 from edgesense.core import Pollutant, load_config
 from edgesense.policy import PolicyKind
@@ -467,6 +467,41 @@ class TestFailureModes:
             assert proc.stderr.splitlines() == [f"error: {name} must be in [0, 2**64), got {seed}"], argv
             assert proc.stdout == "", argv
         assert not (tmp_path / "t.csv").exists()
+
+    def test_tiny_energy_costs_project_an_endless_lifetime(self, cfg_file):
+        # 21600 mAh over a spend of about 1e-306 mAh a day overflows the
+        # projected lifetime, which reads inf as it does for zero spend
+        proc = run_cli("compare", "--config", cfg_file, "--synthetic", "--seeds", "1",
+                       "--set", "rounds=200", "--set", "energy_cost_range=1e-308,1e-308")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr and "internal error" not in proc.stderr
+        rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[2:6]}
+        assert [rows[p][7] for p in ("static", "periodic", "ucb", "adaptive")] == ["inf"] * 4
+
+    def test_trace_values_past_the_bound_exit_two(self, cfg_file, tmp_path):
+        # readings of a trace near the float maximum overflow, and the
+        # table would read as if the run were sound
+        cfg = load_config(cfg_file)
+        hourly = trace.generate_synthetic(cfg, rng_seed=3)
+        trace_csv = tmp_path / "huge.csv"
+        trace.write_csv(trace.TraceSet(values=hourly.values * 1e306, zone_ids=hourly.zone_ids), str(trace_csv))
+        proc = run_cli("compare", "--config", cfg_file, "--trace", str(trace_csv), "--seeds", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: trace values must be at most 1e+100"), proc.stderr
+        assert proc.stdout == ""
+
+    def test_out_of_memory_exits_two(self, cfg_file, monkeypatch, capsys):
+        # rounds=100000000000 asks numpy for 2.18 TiB; the failure is
+        # simulated, so the suite allocates nothing large
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.18 TiB for an array")
+
+        monkeypatch.setattr(trace, "generate_synthetic", no_memory)
+        code = cli.main(["compare", "--config", cfg_file, "--synthetic", "--seeds", "1",
+                         "--set", "rounds=100000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: out of memory: Unable to allocate 2.18 TiB for an array"]
 
     def test_policy_names_round_trip(self):
         for kind in PolicyKind:

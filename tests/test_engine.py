@@ -296,17 +296,34 @@ class TestHelperThreads:
     def test_a_run_that_raises_leaves_no_thread(self, traces, monkeypatch):
         calls = []
 
-        def failing_select_static(cand_ids, cand_costs):
+        def failing_select_static(cand_ids):
             calls.append(None)
             if len(calls) > 150:
                 raise RuntimeError("selector failed")
-            return select_static(cand_ids, cand_costs)
+            return select_static(cand_ids)
 
         monkeypatch.setattr(engine, "select_static", failing_select_static)
         before = threading.enumerate()
         with pytest.raises(RuntimeError, match="selector failed"):
             run_simulation(self.CFG, traces, "static")
         assert len(calls) == 151  # it raised in round 150
+        assert threading.enumerate() == before
+
+    def test_a_budgeted_run_that_raises_leaves_no_thread(self, traces, monkeypatch):
+        original = engine.select_budgeted
+        calls = []
+
+        def failing_select_budgeted(*args):
+            calls.append(None)
+            if len(calls) > 150:
+                raise RuntimeError("selector failed")
+            return original(*args)
+
+        monkeypatch.setattr(engine, "select_budgeted", failing_select_budgeted)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="selector failed"):
+            run_simulation(self.CFG, traces, "ucb")
+        assert len(calls) == 151
         assert threading.enumerate() == before
 
 

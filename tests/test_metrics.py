@@ -87,6 +87,11 @@ class TestLifetimeEstimate:
     def test_zero_spend_has_no_horizon(self):
         assert lifetime_estimate(21600.0, 0.0) == math.inf
 
+    def test_a_horizon_past_the_float_range_has_none(self):
+        # 21600 / 1e-306 overflows to inf, which has no floor
+        assert lifetime_estimate(21600.0, 1e-306) == math.inf
+        assert math.isfinite(lifetime_estimate(1.0, 1e-300))
+
     def test_negative_spend_rejected(self):
         with pytest.raises(ValueError):
             lifetime_estimate(21600.0, -1.0)

@@ -276,12 +276,12 @@ class TestSelectBudgeted:
 
 class TestSelectStatic:
     def test_selects_every_node(self):
-        ids = select_static([3, 5, 9], [1.0, 2.0, 0.5])
+        ids = select_static([3, 5, 9])
         assert ids.dtype == np.int64
         assert ids.tolist() == [3, 5, 9]
 
     def test_empty_input(self):
-        ids = select_static([], [])
+        ids = select_static([])
         assert ids.dtype == np.int64
         assert ids.tolist() == []
 
@@ -289,16 +289,14 @@ class TestSelectStatic:
 class TestSelectPeriodic:
     def test_stagger_pattern(self):
         ids = list(range(10))
-        costs = [1.0] * 10
-        on = select_periodic(ids, costs, round_index=0, period=5, duty=4)
+        on = select_periodic(ids, round_index=0, period=5, duty=4)
         assert on.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_each_node_rests_once_per_period(self):
         ids = list(range(10))
-        costs = [1.0] * 10
         rests = {i: 0 for i in ids}
         for t in range(5):
-            on = set(select_periodic(ids, costs, t, period=5, duty=4))
+            on = set(select_periodic(ids, t, period=5, duty=4))
             for i in ids:
                 if i not in on:
                     rests[i] += 1
@@ -306,15 +304,14 @@ class TestSelectPeriodic:
 
     def test_duty_extremes(self):
         ids = [0, 1, 2]
-        costs = [1.0, 1.0, 1.0]
-        assert list(select_periodic(ids, costs, 3, period=5, duty=0)) == []
-        assert list(select_periodic(ids, costs, 3, period=5, duty=5)) == [0, 1, 2]
+        assert list(select_periodic(ids, 3, period=5, duty=0)) == []
+        assert list(select_periodic(ids, 3, period=5, duty=5)) == [0, 1, 2]
 
     def test_validates_period_and_duty(self):
         with pytest.raises(ValueError):
-            select_periodic([0], [1.0], 0, period=0, duty=0)
+            select_periodic([0], 0, period=0, duty=0)
         with pytest.raises(ValueError):
-            select_periodic([0], [1.0], 0, period=5, duty=6)
+            select_periodic([0], 0, period=5, duty=6)
 
 
 def ranked_select(scores, costs, budget, score_floor=0.0):

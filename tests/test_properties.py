@@ -3,15 +3,18 @@
 Digests pin a run's bytes; these check what a run must mean. Causality: a
 round's decisions depend only on the rounds before it, so a shorter run is
 a prefix of a longer one on the same trace. A fixed schedule is one run
-whichever loop computes it: the day-at-a-time path and the round loop give
-the same bytes, and periodic with every round on duty is static.
+whatever the blocks of rounds it is computed in, and periodic with every
+round on duty is static. Static reads every node it can fund, so until a
+node dies a budgeted policy reads a subset of what static reads. A
+budgeted selection is fundable and fits its budget. Without reading noise,
+static's feedback is the trace's alone, whatever the run seed.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesense import engine
@@ -93,14 +96,74 @@ def fixed_world_traces(cfg):
 
 
 @given(cfg=fixed_worlds())
-def test_fixed_schedules_are_one_run_on_either_path(cfg):
+def test_fixed_schedules_are_one_run_whatever_the_block_size(cfg):
     traces = fixed_world_traces(cfg)
+    # one round a block, whole days, and 7-round blocks, which divide no day
+    rows = [cfg.n_nodes * r for r in (1, cfg.rounds_per_day, 7)]
     for policy in ("static", "periodic"):
-        # every fleet here goes a day at a time unless the bound is forced below it
-        with mock.patch.object(engine, "FIXED_DAY_FLEET", 0):
+        with mock.patch.object(engine, "FIXED_BLOCK_ROWS", rows[0]):
             by_round = run_simulation(cfg, traces, policy)
-        with mock.patch.object(engine, "FIXED_DAY_FLEET", cfg.n_nodes):
-            by_day = run_simulation(cfg, traces, policy)
-        assert_same_run(by_day, by_round)
+        for block_rows in rows[1:]:
+            with mock.patch.object(engine, "FIXED_BLOCK_ROWS", block_rows):
+                assert_same_run(run_simulation(cfg, traces, policy), by_round)
     always_on = run_simulation(cfg.replace(periodic_duty=cfg.periodic_period), traces, "periodic")
     assert_same_run(always_on, run_simulation(cfg, traces, "static"))
+
+
+SPEND_SLACK = 1e-9  # perfbench's: a re-summed spend may differ in the last bits
+
+
+@st.composite
+def budgeted_worlds(draw):
+    """A small world, its battery drained inside the horizon or not, with
+    and without the per-zone split."""
+    return SimConfig(
+        n_zones=draw(st.integers(1, 3)),
+        nodes_per_zone=draw(st.integers(1, 5)),
+        rounds=draw(st.integers(1, 150)),
+        round_minutes=draw(st.sampled_from([15, 30, 60])),
+        budget_fraction=draw(st.sampled_from([0.1, 0.4, 0.65, 0.9])),
+        battery_capacity=draw(st.sampled_from([20.0, 60.0, 21600.0])),
+        hierarchy=draw(st.booleans()),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=30)
+@given(cfg=budgeted_worlds(), policy=st.sampled_from(["ucb", "adaptive"]))
+def test_until_a_node_dies_static_reads_a_superset(cfg, policy):
+    traces = fixed_world_traces(cfg)
+    static = run_simulation(cfg, traces, "static")
+    budgeted = run_simulation(cfg, traces, policy)
+    deaths = static.death_round[static.death_round >= 0]
+    # a node that dies in round t was still read in round t
+    last = int(deaths.min()) if deaths.size else cfg.rounds - 1
+    for want, got in zip(static.logs[:last + 1], budgeted.logs):
+        assert set(got.selected.tolist()) <= set(want.selected.tolist())
+
+
+@settings(max_examples=30)
+@given(cfg=budgeted_worlds(), policy=st.sampled_from(["ucb", "adaptive"]))
+def test_budgeted_selections_are_fundable_and_fit_their_budget(cfg, policy):
+    run = run_simulation(cfg, fixed_world_traces(cfg), policy)
+    assert run.max_budget_violation == 0
+    pulls = np.zeros(run.n_nodes, dtype=np.int64)
+    for lg in run.logs:
+        assert lg.spent <= lg.budget_total + SPEND_SLACK
+        # each selected node can pay for this activation out of what is left
+        assert np.all((pulls[lg.selected] + 1) * run.energy_cost[lg.selected] <= cfg.battery_capacity)
+        pulls[lg.selected] += 1
+    assert np.array_equal(pulls, run.activation_counts)
+
+
+@given(cfg=fixed_worlds())
+def test_without_noise_static_feedback_does_not_depend_on_the_seed(cfg):
+    # a full battery: no node of a horizon this short dies, whatever its cost
+    cfg = cfg.replace(noise_sigma=0.0, battery_capacity=21600.0)
+    traces = fixed_world_traces(cfg)
+    one, other = (run_simulation(cfg, traces, "static", seed=s) for s in (cfg.seed, cfg.seed + 1))
+    assert not np.array_equal(one.energy_cost, other.energy_cost)
+    for a, b in zip(one.logs, other.logs):
+        assert a.selected.tobytes() == b.selected.tobytes()
+        assert a.feedback.tobytes() == b.feedback.tobytes()
+        assert a.detected_event_ids == b.detected_event_ids

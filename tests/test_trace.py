@@ -18,6 +18,8 @@ from edgesense.trace import (
     build_round_trace,
     EVENT_DURATION,
     EVENT_MAGNITUDE,
+    MAX_TRACE_VALUE,
+    check_values,
     draw_events,
     fit_rounds,
     generate_synthetic,
@@ -217,6 +219,31 @@ class TestCsvErrors:
     def test_wrong_column_count(self, tmp_path):
         with pytest.raises(TraceError, match="expected 4 columns"):
             self._load(tmp_path, _csv_lines("2026-01-01T00:00:00Z,0,PM25"))
+
+
+class TestCheckValues:
+    def test_accepts_values_up_to_the_bound(self):
+        check_values(flat_trace(3, 2, MAX_TRACE_VALUE).values)
+        check_values(flat_trace(3, 2, 0.0).values)
+
+    def test_rejects_values_past_the_bound(self):
+        values = flat_trace(3, 2).values
+        values[1, 1, 2] = np.nextafter(MAX_TRACE_VALUE, np.inf)
+        with pytest.raises(TraceError, match="at most 1e\\+100"):
+            check_values(values)
+
+    def test_the_bound_keeps_a_run_finite(self):
+        # the largest accepted trace at the largest accepted noise: readings,
+        # window sums and the trend stay finite, so feedback is never NaN
+        cfg = SimConfig(n_zones=2, nodes_per_zone=3, rounds=48, round_minutes=60, noise_sigma=1.0)
+        hourly = generate_synthetic(cfg, rng_seed=1)
+        scaled = np.minimum(hourly.values * (MAX_TRACE_VALUE / hourly.values.max()), MAX_TRACE_VALUE)
+        traces = build_round_trace(cfg, TraceSet(values=scaled, zone_ids=hourly.zone_ids))
+        assert traces.values.max() > MAX_TRACE_VALUE / 2
+        with np.errstate(all="raise"):
+            for kind in POLICY_ORDER:
+                run = run_simulation(cfg, traces, kind)
+                assert all(np.isfinite(lg.feedback).all() for lg in run.logs)
 
 
 class TestEvents:
