@@ -44,6 +44,19 @@ MINUTES_PER_HOUR = 60  # rounds subdivide the hourly trace, so they divide the h
 # 1 it outweighs the signal, and a huge sigma overflows the readings, so
 # every feedback turns NaN and the tables come out wrong without an error.
 MAX_NOISE_SIGMA = 1.0
+# The bandit ranks by (mean + ucb_c * sqrt(2 ln t / count)) / cost
+# (policy.ucb_scores), with the mean in [0, 1] and sqrt(2 ln t) < 10 for any
+# t < 2**63. These bounds keep that index below 1e14 mAh^-1. Past them the
+# multiply or the divide overflows to inf, and inf ties rank by node id.
+MIN_ENERGY_COST = 1e-6  # mAh per activation
+MAX_UCB_C = 1e6
+# A fleet's budget is a share of its summed costs, which must stay finite.
+MAX_ENERGY_COST = 1e6  # mAh per activation
+# Rewards weigh information in [0, 1] against costs up to MAX_ENERGY_COST,
+# and a round sums them over its selection, so the weights are bounded too.
+MAX_REWARD_WEIGHT = 1e6
+# The periodic schedule's phase arithmetic runs in int64.
+MAX_PERIODIC_PERIOD = 2 ** 63 - 1
 
 
 @dataclass
@@ -109,29 +122,30 @@ def validate_config(cfg: SimConfig) -> list[str]:
         problems.append(f"budget_fraction must be in (0, 1], got {cfg.budget_fraction}")
     if not (0.0 < cfg.eta < 1.0):
         problems.append(f"eta must be in (0, 1), got {cfg.eta}")
-    if cfg.alpha < 0:
-        problems.append(f"alpha must be >= 0, got {cfg.alpha}")
-    if cfg.beta < 0:
-        problems.append(f"beta must be >= 0, got {cfg.beta}")
-    if cfg.ucb_c < 0:
-        problems.append(f"ucb_c must be >= 0, got {cfg.ucb_c}")
-    if cfg.score_floor < 0:
+    for name in ("alpha", "beta"):
+        weight = getattr(cfg, name)
+        if not 0.0 <= weight <= MAX_REWARD_WEIGHT:
+            problems.append(f"{name} must be in [0, {MAX_REWARD_WEIGHT:g}], got {weight}")
+    if not 0.0 <= cfg.ucb_c <= MAX_UCB_C:
+        problems.append(f"ucb_c must be in [0, {MAX_UCB_C:g}], got {cfg.ucb_c}")
+    if not cfg.score_floor >= 0:  # NaN too
         problems.append(f"score_floor must be >= 0, got {cfg.score_floor}")
     if not (0.0 < cfg.detect_threshold < 1.0):
         problems.append(f"detect_threshold must be in (0, 1), got {cfg.detect_threshold}")
-    if cfg.periodic_period < 1:
-        problems.append(f"periodic_period must be >= 1, got {cfg.periodic_period}")
+    if not 1 <= cfg.periodic_period <= MAX_PERIODIC_PERIOD:
+        problems.append(f"periodic_period must be in [1, 2**63 - 1], got {cfg.periodic_period}")
     if not (0 <= cfg.periodic_duty <= cfg.periodic_period):
         problems.append(
             f"periodic_duty must be in [0, periodic_period], got {cfg.periodic_duty}"
         )
-    if cfg.battery_capacity <= 0:
+    if not cfg.battery_capacity > 0:  # NaN too
         problems.append(f"battery_capacity must be > 0, got {cfg.battery_capacity}")
     if not 0.0 <= cfg.noise_sigma <= MAX_NOISE_SIGMA:
         problems.append(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}], got {cfg.noise_sigma}")
     lo, hi = cfg.energy_cost_range
-    if not (0.0 < lo <= hi):
-        problems.append(f"energy_cost_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    if not (MIN_ENERGY_COST <= lo <= hi <= MAX_ENERGY_COST):
+        problems.append(f"energy_cost_range must satisfy {MIN_ENERGY_COST:g} <= lo <= hi <= {MAX_ENERGY_COST:g}, "
+                        f"got ({lo}, {hi})")
     problem = seed_problem(cfg.seed)
     if problem:
         problems.append(problem)

@@ -3,7 +3,9 @@
 Each round the engine derives per-zone activation budgets, lets the policy
 pick nodes, charges their batteries, synthesizes noisy readings for the
 activated nodes only, turns readings into deviation feedback against an
-observed baseline, feeds learning policies, and scores event detections.
+observed baseline and feeds learning policies. Event detection is scored
+once the loop is done, in one pass over the finished run's round logs: no
+selection, budget or learning step reads it.
 
 Determinism: every random draw comes from a counter-based stream keyed by
 (seed, purpose, round), with per-node draws positional inside the round
@@ -82,7 +84,7 @@ class RoundLog:
     selected: np.ndarray          # node ids activated this round
     spent: float                  # mAh drained this round
     feedback: np.ndarray          # deviation feedback per selected node
-    detected_event_ids: tuple[int, ...]  # events first detected this round
+    detected_event_ids: tuple[int, ...]  # events first detected this round (set after the run)
     mean_reward: float            # mean of alpha*I - beta*E over selected
     budget_total: float           # summed budget across clusters this round
 
@@ -373,33 +375,6 @@ class _Batteries:
         return sel_pulls
 
 
-class _Detections:
-    """An event is detected in the first round of its window in which a
-    selected node of its zone reports feedback of at least the threshold."""
-
-    def __init__(self, events: list[EventSpec], rounds: int, threshold: float):
-        self.events = events
-        self.threshold = threshold
-        self.detected = [False] * len(events)
-        self.detect_round = [-1] * len(events)
-        # the rounds in which some event is live, with the events live in each
-        self.live: dict[int, list[int]] = {}
-        for idx, ev in enumerate(events):
-            for r in range(ev.start_round, min(ev.end_round, rounds)):
-                self.live.setdefault(r, []).append(idx)
-
-    def record(self, t: int, zone_peak: np.ndarray) -> tuple[int, ...]:
-        """Mark the events live in round t, a live round, whose zone's peak
-        feedback reaches the threshold; returns those first detected now."""
-        newly_detected = []
-        for idx in self.live[t]:
-            if not self.detected[idx] and zone_peak[self.events[idx].zone_id] >= self.threshold:
-                self.detected[idx] = True
-                self.detect_round[idx] = t
-                newly_detected.append(idx)
-        return tuple(newly_detected)
-
-
 # Most (round, node) rows in one block of a fixed-schedule run (_run_fixed):
 # at 15-minute rounds, whole days up to 83 nodes, 40 rounds at 200, 8 at 1000.
 # Time per 2880-round run over the round loop's (which ran wide fleets before),
@@ -446,14 +421,14 @@ def run_simulation(
     state: PolicyState = make_policy_state(n)
     obs = ObservationState(cfg.n_zones, cfg.rounds_per_day)
     events = list(traces.events)
-    detections = _Detections(events, cfg.rounds, cfg.detect_threshold)
 
     with _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day, cfg.rounds) as noise:
         if policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC):
-            result = _run_fixed(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs, detections)
+            result = _run_fixed(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs)
         else:
-            result = _run_rounds(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs, detections, state)
+            result = _run_rounds(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs, state)
     logs, total_spent, max_violation, n_budgeted = result
+    detected, detect_round = _detect_events(logs, zone_of, events, cfg.n_zones, cfg.detect_threshold)
 
     return RunResult(
         config=cfg.to_dict(),
@@ -467,8 +442,8 @@ def run_simulation(
         activation_counts=batteries.pulls,
         death_round=batteries.death_round,
         events=events,
-        event_detected=detections.detected,
-        event_detect_round=detections.detect_round,
+        event_detected=detected,
+        event_detect_round=detect_round,
         total_spent=total_spent,
         max_budget_violation=max(0.0, max_violation),
         n_budgeted_selections=n_budgeted,
@@ -477,7 +452,7 @@ def run_simulation(
     )
 
 
-def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detections, state):
+def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state):
     """run_simulation's round loop for ucb and adaptive. Returns the logs,
     the total spend, the worst budget overspend and the number of budgeted
     cluster selections."""
@@ -494,7 +469,6 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detect
     # zone context for the budget split: |trend| and level, stacked for one scalarize pass
     context = np.empty((n_zones, 2, N_POLLUTANTS))
     floor = cfg.score_floor if policy_kind is PolicyKind.ADAPTIVE else 0.0
-    live_rounds = detections.live
 
     logs: list[RoundLog] = []
     total_spent = 0.0
@@ -562,12 +536,6 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detect
             rewards = reward(feedback, sel_costs, cfg.alpha, cfg.beta)
             mean_reward = float(rewards.sum() / rewards.size)
 
-        newly_detected = ()
-        if t in live_rounds and sel.size:
-            zone_peak = np.zeros(n_zones)
-            np.maximum.at(zone_peak, sel_zones, feedback)
-            newly_detected = detections.record(t, zone_peak)
-
         obs.push(t, cur_sum, cur_cnt, cur_mean)
 
         logs.append(
@@ -576,7 +544,7 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detect
                 selected=sel,
                 spent=spent,
                 feedback=feedback,
-                detected_event_ids=newly_detected,
+                detected_event_ids=(),
                 mean_reward=mean_reward,
                 budget_total=budget_total,
             )
@@ -584,17 +552,17 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, detect
     return logs, total_spent, max_violation, n_budgeted
 
 
-def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs, detections):
+def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
     """run_simulation's loop for static and periodic, in blocks of at least
     one round and at most FIXED_BLOCK_ROWS (round, node) rows. A block never
     crosses a day, which is one noise chunk and one baseline window. A fixed
     schedule never reads the observation state, so only selection and the
     batteries go round by round; readings, channel sums, the window,
-    baselines, feedback, rewards and detection peaks are array passes over
-    the block's rows, each element computed by the same float operations in
-    the same order as in a single round. Spend and mean reward stay sums
-    over one round's contiguous rows, so their pairwise summation order is
-    a round's too. Returns what _run_rounds returns."""
+    baselines, feedback and rewards are array passes over the block's rows,
+    each element computed by the same float operations in the same order as
+    in a single round. Spend and mean reward stay sums over one round's
+    contiguous rows, so their pairwise summation order is a round's too.
+    Returns what _run_rounds returns."""
     costs = batteries.costs
     n, n_zones, per_day = costs.size, cfg.n_zones, cfg.rounds_per_day
     block = max(1, min(per_day, FIXED_BLOCK_ROWS // n))
@@ -643,14 +611,6 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs, detecti
         feedback = np.ascontiguousarray(feedback_proxy(measured, bl).T).max(axis=0)
         rewards = reward(feedback, costs[rows], cfg.alpha, cfg.beta)
 
-        newly_detected = {}
-        live = [t for t in range(base, base + length) if t in detections.live]
-        if live:
-            zone_peak = np.zeros(length * n_zones)
-            np.maximum.at(zone_peak, cell, feedback)
-            zone_peak = zone_peak.reshape(length, n_zones)
-            newly_detected = {t: detections.record(t, zone_peak[t - base]) for t in live}
-
         end = 0
         for t, sel, spent in zip(range(base, base + length), sels, spents):
             start, end = end, end + sel.size
@@ -660,13 +620,38 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs, detecti
                     selected=sel,
                     spent=spent,
                     feedback=feedback[start:end],
-                    detected_event_ids=newly_detected.get(t, ()),
+                    detected_event_ids=(),
                     mean_reward=float(rewards[start:end].sum() / sel.size) if sel.size else 0.0,
                     budget_total=spent,  # a fixed schedule has no cap: it reports what it spends
                 )
             )
         base += length
     return logs, total_spent, 0.0, 0  # a fixed schedule has no budget to overspend
+
+
+def _detect_events(logs, zone_of, events, n_zones, threshold):
+    """Score detections over a finished run: an event is detected in the
+    first round of its window in which a selected node of its zone reports
+    feedback of at least the threshold. Sets each round's detected_event_ids
+    (ascending event index) and returns the detected flags and first rounds
+    (-1 when undetected). A round's zone peaks are computed once, and only
+    while some event live in it is still undetected."""
+    detect_round = [-1] * len(events)
+    # the rounds in which some event is live, with the events live in each
+    live: dict[int, list[int]] = {}
+    for idx, ev in enumerate(events):
+        for t in range(max(ev.start_round, 0), min(ev.end_round, len(logs))):
+            live.setdefault(t, []).append(idx)
+    for t in sorted(live):
+        lg = logs[t]
+        pending = [idx for idx in live[t] if detect_round[idx] < 0]
+        if pending and lg.selected.size:
+            zone_peak = np.zeros(n_zones)
+            np.maximum.at(zone_peak, zone_of[lg.selected], lg.feedback)
+            lg.detected_event_ids = tuple(idx for idx in pending if zone_peak[events[idx].zone_id] >= threshold)
+            for idx in lg.detected_event_ids:
+                detect_round[idx] = t
+    return [r >= 0 for r in detect_round], detect_round
 
 
 def save_run(run: RunResult, path: str) -> None:

@@ -71,10 +71,12 @@ def ucb_index(mean_reward, count, round_index, c):
 
 def mark_detections(run, threshold=None):
     """Re-score event detections from a run's logs: an event counts as
-    detected if any activated sensor in its zone reported feedback at or
-    above the threshold during [start_round, end_round)."""
+    detected in the first round of [start_round, end_round) in which an
+    activated sensor in its zone reported feedback at or above the
+    threshold. Returns the flags and those first rounds (-1 if none)."""
     threshold = run.config["detect_threshold"] if threshold is None else threshold
     flags = [False] * len(run.events)
+    first = [-1] * len(run.events)
     for lg in run.logs:
         for idx, ev in enumerate(run.events):
             if flags[idx] or not (ev.start_round <= lg.round_index < ev.end_round):
@@ -82,7 +84,8 @@ def mark_detections(run, threshold=None):
             in_zone = run.zone_of[lg.selected] == ev.zone_id
             if in_zone.any() and lg.feedback[in_zone].max() >= threshold:
                 flags[idx] = True
-    return flags
+                first[idx] = lg.round_index
+    return flags, first
 
 
 def round_log_csv(run):

@@ -1,18 +1,24 @@
 """End-to-end checks of the command line interface.
 
-Everything here shells out to `python -m edgesense` the way a user would,
-on a small two-zone world, and inspects exit codes, stdout and the files
-left behind.
+Nearly everything here shells out to `python -m edgesense` the way a user
+would, on a small two-zone world, and inspects exit codes, stdout and the
+files left behind. The input gate at the end calls `cli.main` in-process,
+so it can try many settings in a few seconds.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edgesense import cli, engine, trace
+from edgesense import cli, core, engine, trace
 from edgesense.cli import parse_seed_list
 from edgesense.core import Pollutant, load_config
 from edgesense.policy import PolicyKind
@@ -469,14 +475,29 @@ class TestFailureModes:
         assert not (tmp_path / "t.csv").exists()
 
     def test_tiny_energy_costs_project_an_endless_lifetime(self, cfg_file):
-        # 21600 mAh over a spend of about 1e-306 mAh a day overflows the
+        # 1e308 mAh over a spend of about 1e-4 mAh a day overflows the
         # projected lifetime, which reads inf as it does for zero spend
         proc = run_cli("compare", "--config", cfg_file, "--synthetic", "--seeds", "1",
-                       "--set", "rounds=200", "--set", "energy_cost_range=1e-308,1e-308")
+                       "--set", "rounds=200", "--set", "energy_cost_range=1e-6,1e-6",
+                       "--set", "battery_capacity=1e308")
         assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr and "internal error" not in proc.stderr
+        assert proc.stderr == ""  # no traceback, and no overflow warning either
         rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[2:6]}
         assert [rows[p][7] for p in ("static", "periodic", "ucb", "adaptive")] == ["inf"] * 4
+
+    @pytest.mark.parametrize("setting, message", [
+        ("energy_cost_range=1e-308,1e-308",
+         "energy_cost_range must satisfy 1e-06 <= lo <= hi <= 1e+06, got (1e-308, 1e-308)"),
+        ("ucb_c=1e308", "ucb_c must be in [0, 1e+06], got 1e+308"),
+    ], ids=["tiny-costs", "huge-ucb-c"])
+    def test_an_overflowing_ucb_index_exits_two(self, cfg_file, setting, message):
+        # the bandit's index per cost would overflow to inf, and inf ties
+        # rank tried nodes by id while the table reads as sound
+        proc = run_cli("compare", "--config", cfg_file, "--synthetic", "--seeds", "1",
+                       "--set", "rounds=200", "--set", setting)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert proc.stdout == ""
 
     def test_trace_values_past_the_bound_exit_two(self, cfg_file, tmp_path):
         # readings of a trace near the float maximum overflow, and the
@@ -526,3 +547,62 @@ class TestLogging:
                        str(tmp_path / "t.csv"), log="bogus")
         assert proc.returncode == 0
         assert "not recognized" in proc.stderr
+
+
+HUGE = ("1e308", "1.7976931348623157e308", "inf", "nan")
+MINUTE_DIVISORS = [str(m) for m in range(1, 1441) if 1440 % m == 0]
+
+# each field's edges: 0, 1, its validated bounds, huge and non-finite
+# numbers, and for the round grid every divisor of a day's minutes; sizes
+# stay within a 3 x 3 world of at most 200 rounds
+EDGES = {
+    "n_zones": ["-1", "0", "1", "3"],
+    "nodes_per_zone": ["-1", "0", "1", "3"],
+    "rounds": ["-1", "0", "1", "97", "200"] + [m for m in MINUTE_DIVISORS if int(m) <= 200],
+    "round_minutes": ["-1", "0"] + MINUTE_DIVISORS,
+    "budget_fraction": ["0", "1", "5e-324", "1e-308", *HUGE],
+    "eta": ["0", "1", "5e-324", "0.9999999999999999", *HUGE],
+    "alpha": ["0", "1", "5e-324", repr(core.MAX_REWARD_WEIGHT), *HUGE],
+    "beta": ["0", "1", "5e-324", repr(core.MAX_REWARD_WEIGHT), *HUGE],
+    "ucb_c": ["0", "1", repr(core.MAX_UCB_C), "1000000.0000000001", *HUGE],
+    "score_floor": ["0", "1", "5e-324", *HUGE],
+    "detect_threshold": ["0", "1", "5e-324", "0.9999999999999999", *HUGE],
+    "periodic_period": ["0", "1", "2", str(core.MAX_PERIODIC_PERIOD), str(2 ** 63), str(10 ** 30)],
+    "periodic_duty": ["0", "1", "2", str(2 ** 63), str(10 ** 30)],
+    "battery_capacity": ["0", "1", "5e-324", *HUGE],
+    "noise_sigma": ["0", "1", repr(core.MAX_NOISE_SIGMA), "1.0000000000000002", *HUGE],
+    "seed": ["-1", "0", "1", str(2 ** 64 - 1), str(2 ** 64)],
+    "energy_cost_range": [
+        "0,0", "1,1", "1,0", "5e-324,1", "5e-324,5e-324", "1e-308,1e-308", "9.999999999999999e-07,1",
+        f"{core.MIN_ENERGY_COST!r},{core.MIN_ENERGY_COST!r}", f"{core.MIN_ENERGY_COST!r},{core.MAX_ENERGY_COST!r}",
+        "1,1000000.0000000001", "1,1e308", "1e308,1e308", "1.7976931348623157e308,1.7976931348623157e308",
+    ],
+    "hierarchy": ["on", "off"],
+}
+
+
+@st.composite
+def edge_settings(draw):
+    """One to three fields set to edge values, over a 2 x 2 world of 100 rounds."""
+    fields = draw(st.lists(st.sampled_from(sorted(EDGES)), min_size=1, max_size=3, unique=True))
+    chosen = ["n_zones=2", "nodes_per_zone=2", "rounds=100"]
+    chosen += [f"{name}={draw(st.sampled_from(EDGES[name]))}" for name in fields]
+    return chosen
+
+
+@settings(max_examples=150)
+@given(chosen=edge_settings())
+def test_every_edge_setting_simulates_or_exits_two(chosen):
+    argv = ["compare", "--synthetic", "--seeds", "1"]
+    for item in chosen:
+        argv += ["--set", item]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+    assert "nan" not in out.getvalue().lower()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [str(w.message) for w in caught]

@@ -1,5 +1,7 @@
 """Vocabulary types: pollutants, config handling, fleet, streams."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,22 @@ class TestConfigValidation:
     def test_energy_cost_range_ordering(self):
         assert validate_config(SimConfig(energy_cost_range=(2.0, 1.0))) != []
         assert validate_config(SimConfig(energy_cost_range=(0.0, 1.0))) != []
+
+    def test_bounds_that_keep_the_arithmetic_finite(self):
+        edges = [
+            ("energy_cost_range", (core.MIN_ENERGY_COST, core.MAX_ENERGY_COST), [(1e-308, 1e-308), (1.0, 1e308)]),
+            ("ucb_c", core.MAX_UCB_C, [1e308, math.nan]),
+            ("alpha", core.MAX_REWARD_WEIGHT, [1e308, math.nan]),
+            ("beta", core.MAX_REWARD_WEIGHT, [1e308, math.nan]),
+            ("periodic_period", core.MAX_PERIODIC_PERIOD, [2 ** 63]),
+            ("score_floor", math.inf, [math.nan]),
+            ("battery_capacity", math.inf, [math.nan]),
+        ]
+        for name, bound, bad in edges:
+            assert validate_config(SimConfig(**{name: bound})) == [], name
+            for value in bad:
+                problems = validate_config(SimConfig(**{name: value}))
+                assert len(problems) == 1 and problems[0].startswith(name), (name, value)
 
     def test_rounds_per_day(self):
         assert SimConfig(round_minutes=15).rounds_per_day == 96

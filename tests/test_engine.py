@@ -505,7 +505,7 @@ class TestDetection:
     def test_flags_match_log_replay(self, tiny_cfg, tiny_traces, runs):
         assert len(tiny_traces.events) > 0
         for run in runs.values():
-            assert mark_detections(run) == run.event_detected
+            assert mark_detections(run) == (run.event_detected, run.event_detect_round)
 
     def test_detect_round_is_inside_the_event_window(self, runs):
         for run in runs.values():
@@ -517,9 +517,10 @@ class TestDetection:
 
     def test_threshold_extremes(self, runs):
         run = runs["static"]
-        assert mark_detections(run, threshold=1.1) == [False] * len(run.events)
-        # with the whole fleet on, a zero threshold flags every event
-        assert mark_detections(run, threshold=0.0) == [True] * len(run.events)
+        assert mark_detections(run, threshold=1.1)[0] == [False] * len(run.events)
+        # with the whole fleet on, a zero threshold flags every event in its first round
+        assert mark_detections(run, threshold=0.0) == (
+            [True] * len(run.events), [ev.start_round for ev in run.events])
 
 
 class TestHierarchyToggle:

@@ -7,7 +7,9 @@ whatever the blocks of rounds it is computed in, and periodic with every
 round on duty is static. Static reads every node it can fund, so until a
 node dies a budgeted policy reads a subset of what static reads. A
 budgeted selection is fundable and fits its budget. Without reading noise,
-static's feedback is the trace's alone, whatever the run seed.
+static's feedback is the trace's alone, whatever the run seed. Detection is
+what a replay of the round logs finds. With one zone, the per-zone budget
+split is the fleet-wide budget.
 """
 
 from unittest import mock
@@ -17,11 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mark_detections
+from test_run_digests import run_digest
+
 from edgesense import engine
-from edgesense.core import SimConfig
+from edgesense.core import POLLUTANTS, SimConfig
 from edgesense.engine import run_simulation
 from edgesense.policy import POLICY_ORDER
-from edgesense.trace import build_round_trace, draw_events, generate_synthetic
+from edgesense.trace import EventSpec, build_round_trace, draw_events, generate_synthetic
 
 # three zones of four nodes on a 150 mAh battery: nodes die and zones go
 # dark well inside 600 rounds, 96 rounds (one noise chunk) a day
@@ -167,3 +172,56 @@ def test_without_noise_static_feedback_does_not_depend_on_the_seed(cfg):
         assert a.selected.tobytes() == b.selected.tobytes()
         assert a.feedback.tobytes() == b.feedback.tobytes()
         assert a.detected_event_ids == b.detected_event_ids
+
+
+@st.composite
+def event_worlds(draw):
+    """A small world, its battery drained so zones go dark or not, and a
+    trace longer than the run whose events are drawn by hand: long and
+    overlapping windows, some of them still live when the horizon ends."""
+    cfg = SimConfig(
+        n_zones=draw(st.integers(1, 3)),
+        nodes_per_zone=draw(st.integers(1, 5)),
+        rounds=draw(st.integers(1, 120)),
+        round_minutes=draw(st.sampled_from([15, 30, 60])),
+        budget_fraction=draw(st.sampled_from([0.1, 0.4, 0.9])),
+        battery_capacity=draw(st.sampled_from([20.0, 60.0, 21600.0])),
+        detect_threshold=draw(st.sampled_from([0.05, 0.3, 0.6])),
+        seed=draw(st.integers(0, 3)),
+    )
+    trace_rounds = cfg.rounds + draw(st.integers(0, 30))
+    events = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, trace_rounds - 1))
+        events.append(EventSpec(
+            zone_id=draw(st.integers(0, cfg.n_zones - 1)),
+            start_round=start,
+            end_round=draw(st.integers(start + 1, trace_rounds)),
+            pollutant=draw(st.sampled_from(POLLUTANTS)),
+            magnitude=draw(st.sampled_from([1.5, 3.0, 8.0])),
+        ))
+    world = cfg.replace(rounds=trace_rounds)
+    traces = build_round_trace(world, generate_synthetic(world, rng_seed=cfg.seed), events)
+    return cfg, traces
+
+
+@settings(max_examples=60)
+@given(world=event_worlds())
+def test_detections_are_what_a_replay_of_the_logs_finds(world):
+    cfg, traces = world
+    for policy in POLICY_ORDER:
+        run = run_simulation(cfg, traces, policy)
+        flags, first = mark_detections(run)
+        assert (run.event_detected, run.event_detect_round) == (flags, first)
+        for lg in run.logs:
+            assert lg.detected_event_ids == tuple(i for i, t in enumerate(first) if t == lg.round_index)
+
+
+@settings(max_examples=20)
+@given(cfg=budgeted_worlds(), policy=st.sampled_from(["ucb", "adaptive"]))
+def test_with_one_zone_the_split_is_the_fleet_budget(cfg, policy):
+    cfg = cfg.replace(n_zones=1, nodes_per_zone=cfg.nodes_per_zone * 3)
+    traces = fixed_world_traces(cfg)
+    split, whole = (run_simulation(cfg.replace(hierarchy=h), traces, policy) for h in (True, False))
+    assert [lg.budget_total for lg in split.logs] == [lg.budget_total for lg in whole.logs]
+    assert run_digest(split) == run_digest(whole)
