@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload desk --pairs 10
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload desk --pairs 10 [--first-seed 1]
 
 Pair i (1-based) runs the benchmark command of BENCHMARK.json with
-`--workload W --seed i --seconds S --trace 0` in both checkouts, S being
-BENCHMARK.json's run_seconds, the parent first in odd pairs and the change
-first in even ones. For every end-to-end metric that BENCHMARK.json
+`--workload W --seed F+i-1 --seconds S --trace 0` in both checkouts, F
+being --first-seed and S BENCHMARK.json's run_seconds, the parent first in
+odd pairs and the change first in even ones. --first-seed lets a claim be
+checked again on seeds not used while it was written. For every end-to-end metric that BENCHMARK.json
 names, it prints each side's median, the parent's quartiles, the relative
 change of the medians next to the metric's bound, and how many pairs
 favour the change. The verdict follows the benchmark's rules: a gain
 needs the change to win at least nine tenths of the pairs and to move the
-median by more than the parent's interquartile range; a regression is a
+median by more than the parent's interquartile range, over at least
+MIN_PAIRS pairs (fewer read `too few pairs`); a regression is a
 median worse than the bound allows; a parent spread wider than the bound
 leaves the metric unresolved, unless every change run beats every parent
 run.
@@ -29,6 +31,12 @@ import os
 import statistics
 import subprocess
 import sys
+
+
+# the fewest pairs a gain may rest on: a coin wins 4 of 4 pairs one time in
+# 16 but 9 of 10 about once in 100 (an A/A run of one commit against
+# itself, 4 pairs, read wall_s -2.9% as a gain at 4/4)
+MIN_PAIRS = 10
 
 
 def _strict_constant(name: str):
@@ -66,7 +74,7 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> tuple[str
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     q1, q3 = quartiles(parent)
     if worse < 0 and wins >= 0.9 * len(parent) and abs(c_med - p_med) > q3 - q1:
-        return "gain", wins
+        return ("gain" if len(parent) >= MIN_PAIRS else "too few pairs"), wins
     if worse > metric["bound"]:
         return "REGRESSION", wins
     beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
@@ -80,25 +88,29 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of pair 1; pair i runs seed first-seed + i - 1")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if args.first_seed < 0:
+        ap.error("--first-seed must be >= 0")
 
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     values: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
-    for pair in range(1, args.pairs + 1):
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    for pair, seed in enumerate(seeds, start=1):
         order = ["parent", "change"] if pair % 2 else ["change", "parent"]
         for side in order:
-            result = run_once(bench["command"], sides[side], args.workload, pair, seconds)
+            result = run_once(bench["command"], sides[side], args.workload, seed, seconds)
             for name, m in result["metrics"].items():
                 values[side].setdefault(name, []).append(m["value"])
         print(f"pair {pair}/{args.pairs} done ({' then '.join(order)})", file=sys.stderr, flush=True)
 
-    print(f"workload {args.workload}: {args.pairs} alternating pairs, {seconds} s runs, seed = pair index")
+    print(f"workload {args.workload}: {args.pairs} alternating pairs, {seconds} s runs, seeds {seeds[0]}..{seeds[-1]}")
     print(f"{'metric':<20} {'unit':<5} {'better':<6} {'parent':>10} {'[q1, q3]':>22} {'change':>10} "
           f"{'rel':>8} {'bound':>6} {'wins':>6}  verdict")
     for metric in bench["end_to_end"]:

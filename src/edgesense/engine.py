@@ -348,7 +348,9 @@ class _NoiseSource:
 class _Batteries:
     """Activation counts and deaths per node. A node dies once it cannot
     fund its next activation; only activations change that, so the
-    candidates (the fundable nodes) change only when a node dies."""
+    candidates (the fundable nodes) change only when a node dies. A caller
+    that knows no node can die (survive) may add activations to pulls
+    itself; activate charges one round and records the deaths it causes."""
 
     def __init__(self, costs: np.ndarray, capacity: float):
         n = costs.size
@@ -373,6 +375,13 @@ class _Batteries:
             self.death_round[newly_dead] = t
             self.cand_ids = self._node_ids[self.fundable]
         return sel_pulls
+
+    def survive(self, k: int) -> bool:
+        """Whether every candidate stays fundable through k more activations:
+        activate's death test after the k-th. The test only grows with the
+        pull count, so no fewer activations kill a node either."""
+        cand = self.cand_ids
+        return not ((self.pulls[cand] + k + 1) * self.costs[cand] > self.capacity).any()
 
 
 # Most (round, node) rows in one block of a fixed-schedule run (_run_fixed):
@@ -556,13 +565,16 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
     """run_simulation's loop for static and periodic, in blocks of at least
     one round and at most FIXED_BLOCK_ROWS (round, node) rows. A block never
     crosses a day, which is one noise chunk and one baseline window. A fixed
-    schedule never reads the observation state, so only selection and the
-    batteries go round by round; readings, channel sums, the window,
-    baselines, feedback and rewards are array passes over the block's rows,
-    each element computed by the same float operations in the same order as
-    in a single round. Spend and mean reward stay sums over one round's
-    contiguous rows, so their pairwise summation order is a round's too.
-    Returns what _run_rounds returns."""
+    schedule never reads the observation state, so only selection goes
+    round by round. The batteries do too in a block where some node may die
+    (_Batteries.survive); otherwise the candidates cannot change inside the
+    block, and its activations are counted once. Readings, channel sums,
+    the window, baselines, feedback and rewards are array passes over the
+    block's rows, each element computed by the same float operations in the
+    same order as in a single round. Spend and mean reward are sums over
+    one round's contiguous rows, as rows of a [rounds, rows per round] view
+    when every round reads alike, so their pairwise summation order is a
+    round's too. Returns what _run_rounds returns."""
     costs = batteries.costs
     n, n_zones, per_day = costs.size, cfg.n_zones, cfg.rounds_per_day
     block = max(1, min(per_day, FIXED_BLOCK_ROWS // n))
@@ -571,26 +583,32 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
     base = 0
     while base < cfg.rounds:
         length = min(block, per_day - base % per_day, cfg.rounds - base)
-        sels, spents = [], []
+        charge_once = batteries.survive(length)
+        sels = []
         for t in range(base, base + length):
             if policy_kind is PolicyKind.STATIC:
                 sel = select_static(batteries.cand_ids)
             else:
                 sel = select_periodic(batteries.cand_ids, t, cfg.periodic_period, cfg.periodic_duty)
-            sel_costs = costs[sel]
-            spent = float(sel_costs.sum()) if sel.size else 0.0
-            total_spent += spent
-            batteries.activate(sel, sel_costs, t)
+            if not charge_once:
+                batteries.activate(sel, costs[sel], t)
             sels.append(sel)
-            spents.append(spent)
 
         # the block's rows, round by round and in selection order within a
         # round, and the (round, zone) cell of each, counted from base
         counts = [sel.size for sel in sels]
         rows = np.concatenate(sels)
+        if charge_once:
+            batteries.pulls += np.bincount(rows, minlength=n)
         row_round = np.repeat(np.arange(length), counts)
         cell = row_round * n_zones + zone_of[rows]
-        eps = noise.chunk_of(base).reshape(-1, N_POLLUTANTS).take((row_round + base % per_day) * n + rows, axis=0)
+        chunk = noise.chunk_of(base).reshape(-1, N_POLLUTANTS)
+        first = base % per_day * n
+        if rows.size == length * n:
+            # every node in every round, in id order: the chunk's rows as they lie
+            eps = chunk[first:first + rows.size]
+        else:
+            eps = chunk.take(row_round * n + first + rows, axis=0)
         truth = values[base:base + length].reshape(-1, N_POLLUTANTS).take(cell, axis=0)
         measured = sensor_reading(truth, eps, cfg.noise_sigma)
 
@@ -609,19 +627,31 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
         bl = fill_baseline(obs.push_day(base, cur_sum, cur_cnt, cur_mean), cur_mean)
         bl = bl.reshape(-1, N_POLLUTANTS).take(cell, axis=0)
         feedback = np.ascontiguousarray(feedback_proxy(measured, bl).T).max(axis=0)
-        rewards = reward(feedback, costs[rows], cfg.alpha, cfg.beta)
+        row_costs = costs[rows]
+        rewards = reward(feedback, row_costs, cfg.alpha, cfg.beta)
 
-        end = 0
-        for t, sel, spent in zip(range(base, base + length), sels, spents):
-            start, end = end, end + sel.size
+        ends = np.cumsum(counts).tolist()
+        spans = list(zip([0, *ends[:-1]], ends))
+        width = counts[0]
+        if width and counts.count(width) == length:
+            # a row of a C-contiguous view sums in the order of a 1-D array
+            # of its length; np.add.reduceat would sum in another
+            spents = row_costs.reshape(length, width).sum(axis=1).tolist()
+            mean_rewards = (rewards.reshape(length, width).sum(axis=1) / width).tolist()
+        else:
+            spents = [float(row_costs[a:b].sum()) if b > a else 0.0 for a, b in spans]
+            mean_rewards = [float(rewards[a:b].sum() / (b - a)) if b > a else 0.0 for a, b in spans]
+
+        for t, sel, (a, b), spent, mean_reward in zip(range(base, base + length), sels, spans, spents, mean_rewards):
+            total_spent += spent
             logs.append(
                 RoundLog(
                     round_index=t,
                     selected=sel,
                     spent=spent,
-                    feedback=feedback[start:end],
+                    feedback=feedback[a:b],
                     detected_event_ids=(),
-                    mean_reward=float(rewards[start:end].sum() / sel.size) if sel.size else 0.0,
+                    mean_reward=mean_reward,
                     budget_total=spent,  # a fixed schedule has no cap: it reports what it spends
                 )
             )
@@ -640,7 +670,7 @@ def _detect_events(logs, zone_of, events, n_zones, threshold):
     # the rounds in which some event is live, with the events live in each
     live: dict[int, list[int]] = {}
     for idx, ev in enumerate(events):
-        for t in range(max(ev.start_round, 0), min(ev.end_round, len(logs))):
+        for t in range(ev.start_round, min(ev.end_round, len(logs))):
             live.setdefault(t, []).append(idx)
     for t in sorted(live):
         lg = logs[t]

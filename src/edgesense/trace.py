@@ -79,6 +79,8 @@ class EventSpec:
     magnitude: float
 
     def __post_init__(self):
+        if self.start_round < 0:
+            raise TraceError(f"event start_round must be >= 0, got {self.start_round}")
         if self.start_round >= self.end_round:
             raise TraceError(
                 f"event window must be non-empty, got [{self.start_round}, {self.end_round})"

@@ -1,6 +1,8 @@
-"""The verdict rule of scripts/bench_pairs.py on hand-made pair samples."""
+"""The verdict rule of scripts/bench_pairs.py on hand-made pair samples,
+and its pair loop with the benchmark runs faked."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -15,12 +17,17 @@ TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
 WIDE = [0.5, 1.5, 0.6, 1.4, 1.0, 0.7, 1.3, 0.8, 1.2, 1.0]
 
 
-@pytest.fixture(scope="module")
-def verdict():
+@pytest.fixture
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.verdict
+    return module
+
+
+@pytest.fixture
+def verdict(bench_pairs):
+    return bench_pairs.verdict
 
 
 def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_spread(verdict):
@@ -48,3 +55,51 @@ def test_a_change_that_beats_every_parent_run_is_resolved_despite_the_spread(ver
     assert verdict(HIGHER, WIDE, [1.51] * 10) == ("within bound", 10)
     # one change run inside the parent's range leaves it unresolved
     assert verdict(LOWER, WIDE, [0.49] * 9 + [0.55]) == ("unresolved", 10)
+
+
+def test_fewer_than_ten_pairs_are_too_few_for_a_gain(verdict):
+    assert verdict(LOWER, TIGHT[:9], [0.6] * 9) == ("too few pairs", 9)
+    assert verdict(HIGHER, TIGHT[:4], [1.5] * 4) == ("too few pairs", 4)
+    # only a gain needs the pairs: a regression shows with fewer
+    assert verdict(LOWER, TIGHT[:4], [1.3] * 4) == ("REGRESSION", 0)
+
+
+def fake_checkouts(tmp_path, bench_pairs, monkeypatch):
+    """A parent and a change checkout whose benchmark runs are faked: the
+    change halves run_s.static and leaves run_s.ucb alone. Returns their
+    paths and the list of (side, seed) runs made."""
+    bench = {"command": ["bench"], "run_seconds": 3, "end_to_end": [{**LOWER, "unit": "s"}, {**LOWER, "unit": "s", "name": "run_s.static"}]}
+    sides = {}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        sides[str(tmp_path / side)] = side
+    runs = []
+
+    def run_once(command, checkout, workload, seed, seconds):
+        assert (command, workload, seconds) == (["bench"], "desk", 3)
+        runs.append((sides[checkout], seed))
+        static = (0.5 if sides[checkout] == "change" else 1.0) + seed / 1000
+        return {"correct": True, "metrics": {"run_s.static": {"value": static}, "run_s.ucb": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return str(tmp_path / "parent"), str(tmp_path / "change"), runs
+
+
+def test_pairs_run_from_the_first_seed_in_alternating_order(tmp_path, bench_pairs, monkeypatch, capsys):
+    parent, change, runs = fake_checkouts(tmp_path, bench_pairs, monkeypatch)
+    assert bench_pairs.main([parent, change, "--workload", "desk", "--pairs", "3", "--first-seed", "11"]) == 0
+    assert runs == [("parent", 11), ("change", 11), ("change", 12), ("parent", 12), ("parent", 13), ("change", 13)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload desk: 3 alternating pairs, 3 s runs, seeds 11..13"
+    verdicts = {line.split()[0]: line.rsplit("  ", 1)[1] for line in out[2:]}
+    assert verdicts == {"run_s.ucb": "within bound", "run_s.static": "too few pairs"}
+
+
+def test_ten_pairs_default_to_seeds_one_to_ten(tmp_path, bench_pairs, monkeypatch, capsys):
+    parent, change, runs = fake_checkouts(tmp_path, bench_pairs, monkeypatch)
+    assert bench_pairs.main([parent, change, "--workload", "desk"]) == 0
+    assert [seed for side, seed in runs if side == "change"] == list(range(1, 11))
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("seeds 1..10")
+    assert out[-1].startswith("run_s.static") and out[-1].endswith("10/10  gain")

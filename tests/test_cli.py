@@ -303,8 +303,11 @@ class TestReport:
         (lambda r: r["events"].append({"zone_id": 2, "start_round": 0, "end_round": 4,
                                        "pollutant": "CO", "magnitude": 2.0}),
          "an event names zone 2, outside 0..1"),
+        (lambda r: r["events"].append({"zone_id": 0, "start_round": -5, "end_round": 3,
+                                       "pollutant": "PM25", "magnitude": 4.0}),
+         "event start_round must be >= 0, got -5"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
-            "feedback-short", "event-zone-out-of-range"])
+            "feedback-short", "event-zone-out-of-range", "event-negative-start"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts["run_json"]))
         n_selected = len(record["rounds"][0]["selected"])
@@ -376,6 +379,19 @@ class TestFailureModes:
                        "--trace", trace_csv, "--events", events_csv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "lacks: [7]" in proc.stderr, proc.stderr
+
+    def test_negative_event_start_exits_two(self, cfg_file, tmp_path):
+        # the window [-5, 3) would change no trace value, while detection
+        # would look for the event in rounds 0-2
+        trace_csv, events_csv = _write_world(cfg_file, tmp_path)
+        with open(events_csv, "a", encoding="utf-8") as fh:
+            fh.write("0,-5,3,PM25,4.0\n")
+        proc = run_cli("run", "--policy", "static", "--config", cfg_file,
+                       "--trace", trace_csv, "--events", events_csv)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: line 2: bad event row: event start_round must be >= 0, got -5"], proc.stderr
+        assert proc.stdout == ""
 
     def test_zone_labels_do_not_change_the_run(self, cfg_file, tmp_path):
         outs = []

@@ -493,12 +493,48 @@ class TestBatteryDepletion:
         assert np.all(drained_runs["static"].death_round >= 0)
         assert drained_runs["static"].death_round.max() < 200
 
+    def test_survive_is_the_death_test_k_activations_ahead(self):
+        # node 2 cannot fund one activation, so it is no candidate and cannot
+        # veto; after one activation node 0 has (1 + 8 + 1) * 0.5 == 5.0
+        costs = np.array([0.5, 0.25, 8.0])
+        both = np.array([0, 1])
+        batteries = engine._Batteries(costs, 5.0)
+        batteries.activate(np.array([0]), costs[:1], 0)
+        assert batteries.survive(8) and not batteries.survive(9)
+        for t in range(1, 9):
+            batteries.activate(both, costs[both], t)
+        assert batteries.death_round.tolist() == [-1, -1, -1]
+        assert batteries.survive(0) and not batteries.survive(1)
+        batteries.activate(both, costs[both], 9)
+        assert batteries.death_round.tolist() == [9, -1, -1]
+        assert batteries.cand_ids.tolist() == [1]
+        # node 1: (9 + 10 + 1) * 0.25 == 5.0
+        assert batteries.survive(10) and not batteries.survive(11)
+
     def test_round_log_matches_the_csv_module(self, drained_runs, tmp_path):
         path = tmp_path / "rounds.csv"
         for run in drained_runs.values():
             assert any(len(lg.selected) == 0 for lg in run.logs)
             write_round_log_csv(run, str(path))
             assert path.read_bytes() == round_log_csv(run).encode("utf-8")
+
+
+class TestFixedBlockSums:
+    @pytest.mark.parametrize("width", [*range(1, 10), 127, 128, 129, 130, 255, 256, 257, 258, 1000, 8000])
+    @pytest.mark.parametrize("rounds", [1, 7, 96])
+    def test_a_row_sum_is_the_sum_of_that_round_alone(self, rounds, width):
+        # _run_fixed sums a block's spend and rewards as rows of a
+        # [rounds, width] view; the floats must be those of each round's own
+        # 1-D sum, across numpy's pairwise blocks, or digests would move
+        rng = np.random.default_rng(width * 100 + rounds)
+        x = rng.standard_normal(rounds * width) * 10.0 ** rng.uniform(-8, 8, rounds * width)
+        rows = x.reshape(rounds, width).sum(axis=1)
+        alone = np.array([x[i * width:(i + 1) * width].sum() for i in range(rounds)])
+        assert rows.tobytes() == alone.tobytes()
+        if width >= 128:
+            # the data tells summation orders apart: left to right differs
+            in_order = np.add.accumulate(x.reshape(rounds, width), axis=1)[:, -1]
+            assert in_order.tobytes() != alone.tobytes()
 
 
 class TestDetection:

@@ -115,6 +115,20 @@ def test_fixed_schedules_are_one_run_whatever_the_block_size(cfg):
     assert_same_run(always_on, run_simulation(cfg, traces, "static"))
 
 
+@given(cfg=fixed_worlds())
+def test_charging_a_block_at_once_is_charging_it_round_by_round(cfg):
+    # 40 and 150 mAh batteries die inside blocks, 21600 mAh never do; with
+    # survive false every block charges its rounds one by one. In 1-round
+    # blocks every death lands on a block's last activation.
+    traces = fixed_world_traces(cfg)
+    for policy in ("static", "periodic"):
+        for block_rows in (cfg.n_nodes, engine.FIXED_BLOCK_ROWS):
+            with mock.patch.object(engine, "FIXED_BLOCK_ROWS", block_rows):
+                with mock.patch.object(engine._Batteries, "survive", lambda self, k: False):
+                    by_round = run_simulation(cfg, traces, policy)
+                assert_same_run(run_simulation(cfg, traces, policy), by_round)
+
+
 SPEND_SLACK = 1e-9  # perfbench's: a re-summed spend may differ in the last bits
 
 

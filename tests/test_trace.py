@@ -251,6 +251,12 @@ class TestEvents:
         with pytest.raises(TraceError, match="non-empty"):
             EventSpec(0, 5, 5, Pollutant.PM25, 2.0)
 
+    def test_spec_rejects_negative_start(self):
+        # apply_events slices mult[start:end], so [-5, 3) would change no value
+        with pytest.raises(TraceError, match="start_round must be >= 0, got -5"):
+            EventSpec(0, -5, 3, Pollutant.PM25, 4.0)
+        assert EventSpec(0, 0, 3, Pollutant.PM25, 4.0).start_round == 0
+
     def test_spec_rejects_weak_magnitude(self):
         with pytest.raises(TraceError, match="magnitude"):
             EventSpec(0, 0, 4, Pollutant.PM25, 1.0)
