@@ -12,15 +12,21 @@ The wide world drains the same battery over four zones of fifty nodes,
 more than policy.WIDE_FLEET, so budgeted runs admit through the vectorized
 kernel. Its digests were recorded while every fleet size took the
 per-candidate scan.
+
+The record pins hash the bytes a drained run is saved as: its run record
+JSON and its round-log CSV. The digests above hash what a run decides; these
+also catch a change in how the record spells it.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from edgesense._util import stable_json
 from edgesense.core import SimConfig
-from edgesense.engine import TREND_WINDOW, run_simulation
+from edgesense.engine import TREND_WINDOW, run_simulation, write_round_log_csv
 from edgesense.policy import WIDE_FLEET
 from edgesense.trace import build_round_trace, draw_events, generate_synthetic
 
@@ -35,6 +41,18 @@ GOLDEN = {
     ("periodic", False): "0bf5c868aa3065f18cf3f9da62e82dff7f9951637a800fa551bae9f7dc7a3517",
     ("ucb", False): "5a2b9296f2735f37e4c1f003211aa99572e5c9a64e8c9f5ca5223a6e6c2d0625",
     ("adaptive", False): "844872da97dd6c28510eb1130c41a997ef2ded331de7adf88d65753b533901e5",
+}
+
+# sha256 of (stable_json(run.to_dict()), the write_round_log_csv file)
+RECORD_BYTES = {
+    "static": ("6021b6053fad37db37279a9f94b4331bada0617cb8d829f16330487f8411bb62",
+               "c8875d3f87de817fb3e13fb11a4f32ca7da28dc084b9ed05b166afc155c9bd21"),
+    "periodic": ("9b07e88da9961c126152f2410010a90a762a9ba1e959b48f0bb57cafa1415917",
+                 "9160b733f1512857baeba94030e0bdd061138ec1506e72da090b790c014e5fb7"),
+    "ucb": ("e5364a749fc648f060876a68a7cd7a5c10ba7f550910cc7744586d5bf755e682",
+            "d46bd69cb72772a084869c927a34ee772a431a8ac86cabf30b5ddcd5dd60226f"),
+    "adaptive": ("b787cb7513312313f69a03c19469648bbba2829c75d1796d5d7a0eed7cd0858d",
+                 "99d8170727bdfdee28de11aa5e17f93d5d60ba7847907334284723166f8ac286"),
 }
 
 WIDE = SimConfig(n_zones=4, nodes_per_zone=50, rounds=300, battery_capacity=150.0)
@@ -114,3 +132,14 @@ def test_drained_world_reproduces_the_recorded_run(drained_traces, policy, hiera
 def test_wide_world_reproduces_the_recorded_run(wide_traces, policy, hierarchy):
     assert WIDE.n_zones * WIDE.nodes_per_zone > WIDE_FLEET
     check_drained_run(WIDE, wide_traces, policy, hierarchy, WIDE_GOLDEN)
+
+
+@pytest.mark.parametrize("policy", list(RECORD_BYTES))
+def test_drained_world_saves_the_recorded_bytes(drained_traces, tmp_path, policy):
+    run = run_simulation(DRAINED, drained_traces, policy)
+    path = os.path.join(tmp_path, "rounds.csv")
+    write_round_log_csv(run, path)
+    with open(path, "rb") as fh:
+        csv_bytes = fh.read()
+    assert (hashlib.sha256(stable_json(run.to_dict()).encode()).hexdigest(),
+            hashlib.sha256(csv_bytes).hexdigest()) == RECORD_BYTES[policy]
