@@ -292,7 +292,7 @@ def _cmd_report(args) -> int:
             raise ValueError(f"unrecognized format {fmt!r}")
     except KeyError as exc:
         raise TraceError(f"{path}: missing key {exc}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise TraceError(f"{path}: malformed record: {exc}") from None
     except ValueError as exc:  # not UTF-8, not JSON, or a record that contradicts itself
         raise TraceError(f"{path}: {exc}") from None

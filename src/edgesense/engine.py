@@ -3,9 +3,9 @@
 Each round the engine derives per-zone activation budgets, lets the policy
 pick nodes, charges their batteries, synthesizes noisy readings for the
 activated nodes only, turns readings into deviation feedback against an
-observed baseline and feeds learning policies. Event detection is scored
-once the loop is done, in one pass over the finished run's round logs: no
-selection, budget or learning step reads it.
+observed baseline and feeds learning policies. The run's round record is
+kept as columns (RunResult). Event detection is scored once the loop is
+done, in one pass over them: no selection, budget or learning step reads it.
 
 Determinism: every random draw comes from a counter-based stream keyed by
 (seed, purpose, round), with per-node draws positional inside the round
@@ -18,6 +18,9 @@ import json
 import logging
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -78,13 +81,30 @@ def fill_baseline(merged: np.ndarray, current_mean: np.ndarray | None = None) ->
     return np.where(np.isnan(merged), fallback, merged)
 
 
-@dataclass
+def _round_starts(n_selected: np.ndarray) -> list[int]:
+    """Where each round's entries begin in a run's selected and feedback
+    columns, followed by the columns' length."""
+    return [0, *np.cumsum(n_selected).tolist()]
+
+
+def _detections_by_round(event_detect_round) -> dict[int, tuple[int, ...]]:
+    """The events first detected in each round that detected any, ascending."""
+    by_round: dict[int, tuple[int, ...]] = {}
+    for idx, t in enumerate(event_detect_round):
+        if t >= 0:
+            by_round[t] = by_round.get(t, ()) + (idx,)
+    return by_round
+
+
+@dataclass(frozen=True)
 class RoundLog:
+    """One round of a run, as RunResult.logs shows it."""
+
     round_index: int
     selected: np.ndarray          # node ids activated this round
     spent: float                  # mAh drained this round
     feedback: np.ndarray          # deviation feedback per selected node
-    detected_event_ids: tuple[int, ...]  # events first detected this round (set after the run)
+    detected_event_ids: tuple[int, ...]  # events first detected this round
     mean_reward: float            # mean of alpha*I - beta*E over selected
     budget_total: float           # summed budget across clusters this round
 
@@ -95,7 +115,14 @@ class RunResult:
     policy: str
     seed: int
     trace_hash: str
-    logs: list[RoundLog]
+    # the round record as columns: every round's selected ids in selection
+    # order, round after round, with their feedback; then per round
+    selected: np.ndarray          # int32 node ids
+    feedback: np.ndarray          # float64 deviation feedback, one per selected id
+    n_selected: np.ndarray        # int64: how many of the ids are the round's
+    spent: np.ndarray             # float64 mAh drained
+    budget: np.ndarray            # float64 budget summed across clusters
+    mean_reward: np.ndarray       # float64 mean of alpha*I - beta*E over selected
     energy_cost: np.ndarray
     zone_of: np.ndarray
     final_battery: np.ndarray
@@ -112,7 +139,19 @@ class RunResult:
 
     @property
     def n_rounds(self) -> int:
-        return len(self.logs)
+        return len(self.n_selected)
+
+    @property
+    def logs(self) -> list[RoundLog]:
+        """One RoundLog per round, built from the columns on each access;
+        its ids and feedback are views into them."""
+        starts = _round_starts(self.n_selected)
+        detected = _detections_by_round(self.event_detect_round)
+        per_round = zip(starts, starts[1:], self.spent.tolist(), self.mean_reward.tolist(), self.budget.tolist())
+        return [
+            RoundLog(t, self.selected[a:b], spent, self.feedback[a:b], detected.get(t, ()), mean_reward, budget)
+            for t, (a, b, spent, mean_reward, budget) in enumerate(per_round)
+        ]
 
     @property
     def n_nodes(self) -> int:
@@ -150,9 +189,9 @@ class RunResult:
             "rounds": [
                 {
                     "round": lg.round_index,
-                    "selected": [int(i) for i in lg.selected],
+                    "selected": lg.selected.tolist(),
                     "spent": lg.spent,
-                    "feedback": [float(f) for f in lg.feedback],
+                    "feedback": lg.feedback.tolist(),
                     "detected": list(lg.detected_event_ids),
                     "mean_reward": lg.mean_reward,
                     "budget": lg.budget_total,
@@ -360,8 +399,8 @@ class _Batteries:
         self.fundable = costs <= capacity
         self.death_round = np.full(n, -1, dtype=np.int64)
         self._node_ids = np.arange(n, dtype=np.int64)
-        # a static run logs cand_ids itself as each round's selection, so it
-        # is replaced, never written to
+        # a static block holds cand_ids itself as each round's selection, so
+        # it is replaced, never written to
         self.cand_ids = self._node_ids[self.fundable]
 
     def activate(self, sel: np.ndarray, sel_costs: np.ndarray, t: int) -> np.ndarray:
@@ -382,6 +421,39 @@ class _Batteries:
         pull count, so no fewer activations kill a node either."""
         cand = self.cand_ids
         return not ((self.pulls[cand] + k + 1) * self.costs[cand] > self.capacity).any()
+
+
+class _Record:
+    """A run's round record as its loop writes it, a round or a block of
+    rounds at a time. The id and feedback columns are allocated for every
+    node in every round, but memory backs only the pages written, and
+    columns() gives the rest back in place: a run never holds its record
+    twice."""
+
+    def __init__(self, rounds: int, n: int):
+        self._ids = np.empty(rounds * n, dtype=np.int32)
+        self._feedback = np.empty(rounds * n)
+        self._size = 0
+        self.counts, self.spent, self.budget, self.mean_reward = [], [], [], []
+
+    def write(self, ids, feedback, counts, spent, budget, mean_reward) -> None:
+        """Append rounds: ids and feedback hold all their entries in round
+        order, the other lists one value per round."""
+        end = self._size + ids.size
+        self._ids[self._size:end] = ids
+        self._feedback[self._size:end] = feedback
+        self._size = end
+        self.counts += counts
+        self.spent += spent
+        self.budget += budget
+        self.mean_reward += mean_reward
+
+    def columns(self) -> dict:
+        """RunResult's column fields; the record is spent."""
+        self._ids.resize(self._size)
+        self._feedback.resize(self._size)
+        return dict(selected=self._ids, feedback=self._feedback, n_selected=np.array(self.counts, dtype=np.int64),
+                    spent=np.array(self.spent), budget=np.array(self.budget), mean_reward=np.array(self.mean_reward))
 
 
 # Most (round, node) rows in one block of a fixed-schedule run (_run_fixed):
@@ -431,20 +503,24 @@ def run_simulation(
     obs = ObservationState(cfg.n_zones, cfg.rounds_per_day)
     events = list(traces.events)
 
+    record = _Record(cfg.rounds, n)
     with _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day, cfg.rounds) as noise:
         if policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC):
-            result = _run_fixed(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs)
+            max_violation, n_budgeted = _run_fixed(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs,
+                                                   record)
         else:
-            result = _run_rounds(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs, state)
-    logs, total_spent, max_violation, n_budgeted = result
-    detected, detect_round = _detect_events(logs, zone_of, events, cfg.n_zones, cfg.detect_threshold)
+            max_violation, n_budgeted = _run_rounds(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs,
+                                                    state, record)
+    columns = record.columns()
+    detected, detect_round = _detect_events(columns["selected"], columns["feedback"], columns["n_selected"],
+                                            zone_of, events, cfg.n_zones, cfg.detect_threshold)
 
     return RunResult(
         config=cfg.to_dict(),
         policy=policy_kind.value,
         seed=seed,
         trace_hash=traces.content_hash(),
-        logs=logs,
+        **columns,
         energy_cost=costs,
         zone_of=zone_of,
         final_battery=cfg.battery_capacity - batteries.pulls * costs,
@@ -453,7 +529,7 @@ def run_simulation(
         events=events,
         event_detected=detected,
         event_detect_round=detect_round,
-        total_spent=total_spent,
+        total_spent=reduce(add, record.spent, 0.0),  # left to right, like a round's budget in _run_rounds
         max_budget_violation=max(0.0, max_violation),
         n_budgeted_selections=n_budgeted,
         final_utilities=state.utilities,
@@ -461,10 +537,10 @@ def run_simulation(
     )
 
 
-def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state):
-    """run_simulation's round loop for ucb and adaptive. Returns the logs,
-    the total spend, the worst budget overspend and the number of budgeted
-    cluster selections."""
+def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state, record):
+    """run_simulation's round loop for ucb and adaptive. Writes each round
+    to record and returns the worst budget overspend and the number of
+    budgeted cluster selections."""
     costs = batteries.costs
     n = costs.size
     pulls = batteries.pulls
@@ -479,8 +555,6 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state)
     context = np.empty((n_zones, 2, N_POLLUTANTS))
     floor = cfg.score_floor if policy_kind is PolicyKind.ADAPTIVE else 0.0
 
-    logs: list[RoundLog] = []
-    total_spent = 0.0
     max_violation = 0.0
     n_budgeted = 0
     for t in range(cfg.rounds):
@@ -504,14 +578,12 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state)
             scores = state.utilities / costs
         res = select_budgeted(batteries.cand_ids, scores, costs, budgets, floor)
         sel = res.selected
-        budget_total = float(sum(budgets))
         n_budgeted += len(budgets)
         for cost, budget in zip(res.cluster_cost.tolist(), budgets):
             max_violation = max(max_violation, cost - budget)
 
         sel_costs = costs[sel]
         spent = float(sel_costs.sum()) if sel.size else 0.0
-        total_spent += spent
         sel_pulls = batteries.activate(sel, sel_costs, t)
 
         # readings for activated nodes only; the noise layout covers the whole
@@ -547,21 +619,13 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state)
 
         obs.push(t, cur_sum, cur_cnt, cur_mean)
 
-        logs.append(
-            RoundLog(
-                round_index=t,
-                selected=sel,
-                spent=spent,
-                feedback=feedback,
-                detected_event_ids=(),
-                mean_reward=mean_reward,
-                budget_total=budget_total,
-            )
-        )
-    return logs, total_spent, max_violation, n_budgeted
+        # the round's budget adds the cluster budgets left to right: np.sum
+        # adds pairwise, and sum() compensates from Python 3.12 on
+        record.write(sel, feedback, [sel.size], [spent], [reduce(add, budgets, 0.0)], [mean_reward])
+    return max_violation, n_budgeted
 
 
-def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
+def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs, record):
     """run_simulation's loop for static and periodic, in blocks of at least
     one round and at most FIXED_BLOCK_ROWS (round, node) rows. A block never
     crosses a day, which is one noise chunk and one baseline window. A fixed
@@ -574,12 +638,10 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
     same order as in a single round. Spend and mean reward are sums over
     one round's contiguous rows, as rows of a [rounds, rows per round] view
     when every round reads alike, so their pairwise summation order is a
-    round's too. Returns what _run_rounds returns."""
+    round's too. Writes the record and returns what _run_rounds returns."""
     costs = batteries.costs
     n, n_zones, per_day = costs.size, cfg.n_zones, cfg.rounds_per_day
     block = max(1, min(per_day, FIXED_BLOCK_ROWS // n))
-    logs: list[RoundLog] = []
-    total_spent = 0.0
     base = 0
     while base < cfg.rounds:
         length = min(block, per_day - base % per_day, cfg.rounds - base)
@@ -630,8 +692,6 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
         row_costs = costs[rows]
         rewards = reward(feedback, row_costs, cfg.alpha, cfg.beta)
 
-        ends = np.cumsum(counts).tolist()
-        spans = list(zip([0, *ends[:-1]], ends))
         width = counts[0]
         if width and counts.count(width) == length:
             # a row of a C-contiguous view sums in the order of a 1-D array
@@ -639,48 +699,38 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs):
             spents = row_costs.reshape(length, width).sum(axis=1).tolist()
             mean_rewards = (rewards.reshape(length, width).sum(axis=1) / width).tolist()
         else:
-            spents = [float(row_costs[a:b].sum()) if b > a else 0.0 for a, b in spans]
-            mean_rewards = [float(rewards[a:b].sum() / (b - a)) if b > a else 0.0 for a, b in spans]
-
-        for t, sel, (a, b), spent, mean_reward in zip(range(base, base + length), sels, spans, spents, mean_rewards):
-            total_spent += spent
-            logs.append(
-                RoundLog(
-                    round_index=t,
-                    selected=sel,
-                    spent=spent,
-                    feedback=feedback[a:b],
-                    detected_event_ids=(),
-                    mean_reward=mean_reward,
-                    budget_total=spent,  # a fixed schedule has no cap: it reports what it spends
-                )
-            )
+            starts = _round_starts(counts)
+            spents = [float(row_costs[a:b].sum()) if b > a else 0.0 for a, b in zip(starts, starts[1:])]
+            mean_rewards = [float(rewards[a:b].sum() / (b - a)) if b > a else 0.0 for a, b in zip(starts, starts[1:])]
+        # a fixed schedule has no cap: it reports what it spends as its budget
+        record.write(rows, feedback, counts, spents, spents, mean_rewards)
         base += length
-    return logs, total_spent, 0.0, 0  # a fixed schedule has no budget to overspend
+    return 0.0, 0  # a fixed schedule has no budget to overspend
 
 
-def _detect_events(logs, zone_of, events, n_zones, threshold):
-    """Score detections over a finished run: an event is detected in the
-    first round of its window in which a selected node of its zone reports
-    feedback of at least the threshold. Sets each round's detected_event_ids
-    (ascending event index) and returns the detected flags and first rounds
-    (-1 when undetected). A round's zone peaks are computed once, and only
-    while some event live in it is still undetected."""
+def _detect_events(selected, feedback, n_selected, zone_of, events, n_zones, threshold):
+    """Score detections over a finished run's round columns: an event is
+    detected in the first round of its window in which a selected node of
+    its zone reports feedback of at least the threshold. Returns the
+    detected flags and first rounds (-1 when undetected). A round's zone
+    peaks are computed once, and only while some event live in it is still
+    undetected."""
     detect_round = [-1] * len(events)
+    starts = _round_starts(n_selected)
     # the rounds in which some event is live, with the events live in each
     live: dict[int, list[int]] = {}
     for idx, ev in enumerate(events):
-        for t in range(ev.start_round, min(ev.end_round, len(logs))):
+        for t in range(ev.start_round, min(ev.end_round, len(n_selected))):
             live.setdefault(t, []).append(idx)
     for t in sorted(live):
-        lg = logs[t]
+        a, b = starts[t], starts[t + 1]
         pending = [idx for idx in live[t] if detect_round[idx] < 0]
-        if pending and lg.selected.size:
+        if pending and b > a:
             zone_peak = np.zeros(n_zones)
-            np.maximum.at(zone_peak, zone_of[lg.selected], lg.feedback)
-            lg.detected_event_ids = tuple(idx for idx in pending if zone_peak[events[idx].zone_id] >= threshold)
-            for idx in lg.detected_event_ids:
-                detect_round[idx] = t
+            np.maximum.at(zone_peak, zone_of[selected[a:b]], feedback[a:b])
+            for idx in pending:
+                if zone_peak[events[idx].zone_id] >= threshold:
+                    detect_round[idx] = t
     return [r >= 0 for r in detect_round], detect_round
 
 
@@ -706,18 +756,11 @@ def run_from_dict(d: dict) -> RunResult:
 
     n = len(d["energy_cost"])
     n_zones = d["config"]["n_zones"]
-    logs = [
-        RoundLog(
-            round_index=r["round"],
-            selected=np.asarray(r["selected"], dtype=np.int64),
-            spent=r["spent"],
-            feedback=np.asarray(r["feedback"], dtype=np.float64),
-            detected_event_ids=tuple(r["detected"]),
-            mean_reward=r["mean_reward"],
-            budget_total=r["budget"],
-        )
-        for r in d["rounds"]
-    ]
+    rounds = d["rounds"]
+    ids = list(chain.from_iterable(r["selected"] for r in rounds))
+    if not set(map(type, ids)) <= {int}:
+        t, value = next((t, i) for t, r in enumerate(rounds) for i in r["selected"] if type(i) is not int)
+        raise ValueError(f"round {t} selects {value!r}, which is not a node id")
     events = [
         EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]), e["magnitude"])
         for e in d["events"]
@@ -727,7 +770,12 @@ def run_from_dict(d: dict) -> RunResult:
         policy=d["policy"],
         seed=d["seed"],
         trace_hash=d["trace_hash"],
-        logs=logs,
+        selected=np.fromiter(ids, dtype=np.int64, count=len(ids)),
+        feedback=np.fromiter(chain.from_iterable(r["feedback"] for r in rounds), dtype=np.float64),
+        n_selected=np.array([len(r["selected"]) for r in rounds], dtype=np.int64),
+        spent=np.array([r["spent"] for r in rounds], dtype=np.float64),
+        budget=np.array([r["budget"] for r in rounds], dtype=np.float64),
+        mean_reward=np.array([r["mean_reward"] for r in rounds], dtype=np.float64),
         energy_cost=np.asarray(d["energy_cost"], dtype=np.float64),
         zone_of=np.asarray(d["zone_of"], dtype=np.int64),
         final_battery=np.asarray(d["final_battery"], dtype=np.float64),
@@ -742,14 +790,20 @@ def run_from_dict(d: dict) -> RunResult:
         final_utilities=np.asarray(d.get("final_utilities", [INITIAL_UTILITY] * n), dtype=np.float64),
         final_ucb_means=np.asarray(d.get("final_ucb_means", [0.0] * n), dtype=np.float64),
     )
-    _check_consistent(run, n_zones)
+    _check_consistent(run, n_zones, rounds)
+    run.selected = run.selected.astype(np.int32)  # each id names a node, so the cast keeps it
     return run
 
 
-def _check_consistent(run: RunResult, n_zones: int) -> None:
-    """Raise ValueError unless the per-node arrays agree in length, zone ids
-    (of nodes and of events) name one of the n_zones zones, every selected
-    id names a node, and every round has one feedback value per selection."""
+def _check_consistent(run: RunResult, n_zones: int, rounds: list) -> None:
+    """Raise ValueError unless a loaded run agrees with itself and with the
+    record's rounds: the per-node arrays agree in length; zone ids (of nodes
+    and of events) name one of the n_zones zones; there is one detection
+    flag and round per event, and each flag agrees with its round, which
+    lies in the event's window; every round is numbered by its position,
+    has one feedback value per selection and lists the events that
+    event_detect_round says it first detected; every selected id names a
+    node."""
     n = run.n_nodes
     for name in ("zone_of", "final_battery", "activation_counts", "death_round",
                  "final_utilities", "final_ucb_means"):
@@ -757,17 +811,31 @@ def _check_consistent(run: RunResult, n_zones: int) -> None:
             raise ValueError(f"{name} has {len(getattr(run, name))} entries, energy_cost has {n}")
     if n and not 0 <= run.zone_of.min() <= run.zone_of.max() < n_zones:
         raise ValueError(f"zone_of names a zone outside 0..{n_zones - 1}")
-    for lg in run.logs:
-        if lg.feedback.shape != lg.selected.shape:
-            raise ValueError(f"round {lg.round_index} has {lg.feedback.size} feedback values "
-                             f"for {lg.selected.size} selected nodes")
-    ids = np.concatenate([lg.selected for lg in run.logs]) if run.logs else np.zeros(0)
-    if ids.size and not 0 <= ids.min() <= ids.max() < n:
-        bad = next(lg for lg in run.logs if lg.selected.size and not 0 <= lg.selected.min() <= lg.selected.max() < n)
-        raise ValueError(f"round {bad.round_index} selects a node outside 0..{n - 1}")
     for ev in run.events:
         if not 0 <= ev.zone_id < n_zones:
             raise ValueError(f"an event names zone {ev.zone_id}, outside 0..{n_zones - 1}")
+    for name in ("event_detected", "event_detect_round"):
+        if len(getattr(run, name)) != len(run.events):
+            raise ValueError(f"{name} has {len(getattr(run, name))} entries, events has {len(run.events)}")
+    for idx, (ev, flag, t) in enumerate(zip(run.events, run.event_detected, run.event_detect_round)):
+        if flag != (t >= 0):
+            raise ValueError(f"event {idx} has event_detected {flag!r} but event_detect_round {t}")
+        if flag and not ev.start_round <= t < min(ev.end_round, run.n_rounds):
+            raise ValueError(f"event {idx} is detected in round {t}, outside its window")
+    detected = _detections_by_round(run.event_detect_round)
+    for t, r in enumerate(rounds):
+        if r["round"] != t:
+            raise ValueError(f"round {t} is numbered {r['round']!r}")
+        if len(r["feedback"]) != len(r["selected"]):
+            raise ValueError(f"round {t} has {len(r['feedback'])} feedback values "
+                             f"for {len(r['selected'])} selected nodes")
+        if r["detected"] != list(detected.get(t, ())):
+            raise ValueError(f"round {t} lists detected events {r['detected']}, "
+                             f"event_detect_round gives {list(detected.get(t, ()))}")
+    outside = np.flatnonzero((run.selected < 0) | (run.selected >= n))
+    if outside.size:
+        t = int(np.searchsorted(np.cumsum(run.n_selected), outside[0], side="right"))
+        raise ValueError(f"round {t} selects a node outside 0..{n - 1}")
 
 
 def write_round_log_csv(run: RunResult, path: str) -> None:

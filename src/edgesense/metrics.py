@@ -14,8 +14,6 @@ import math
 import statistics
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._util import stable_json
 from .core import MINUTES_PER_DAY
 from .engine import RunResult
@@ -89,7 +87,7 @@ def compute_run_metrics(run: RunResult) -> RunMetrics:
         lifetime=lifetime_estimate(float(cfg["battery_capacity"]), avg_daily),
         first_death_day=min(death_days) if death_days else None,
         median_death_day=float(statistics.median(death_days)) if death_days else None,
-        mean_selected_per_round=float(np.mean([len(lg.selected) for lg in run.logs])) if run.logs else 0.0,
+        mean_selected_per_round=float(run.n_selected.mean()) if run.n_rounds else 0.0,
     )
 
 

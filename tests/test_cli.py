@@ -306,8 +306,27 @@ class TestReport:
         (lambda r: r["events"].append({"zone_id": 0, "start_round": -5, "end_round": 3,
                                        "pollutant": "PM25", "magnitude": 4.0}),
          "event start_round must be >= 0, got -5"),
+        (lambda r: r.update(event_detected=[True] * 21), "event_detected has 21 entries, events has 2"),
+        (lambda r: r["event_detect_round"].pop(), "event_detect_round has 1 entries, events has 2"),
+        (lambda r: r.update(event_detected=[False, False]),
+         "event 0 has event_detected False but event_detect_round 36"),
+        (lambda r: r.update(event_detected=[True, True], event_detect_round=[36, -1]),
+         "event 1 has event_detected True but event_detect_round -1"),
+        (lambda r: r["event_detect_round"].__setitem__(0, 0), "event 0 is detected in round 0, outside its window"),
+        (lambda r: r["rounds"][1].__setitem__("round", 7), "round 1 is numbered 7"),
+        (lambda r: r["rounds"][0]["detected"].append(1),
+         "round 0 lists detected events [1], event_detect_round gives []"),
+        (lambda r: r["rounds"][36]["detected"].clear(),
+         "round 36 lists detected events [], event_detect_round gives [0]"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1.7), "round 0 selects 1.7, which is not a node id"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, True), "round 0 selects True, which is not a node id"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 2 ** 70),
+         "malformed record: Python int too large to convert to C long"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
-            "feedback-short", "event-zone-out-of-range", "event-negative-start"])
+            "feedback-short", "event-zone-out-of-range", "event-negative-start",
+            "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
+            "detect-round-outside-window", "round-misnumbered", "round-lists-an-undetected-event",
+            "round-drops-its-detection", "node-id-float", "node-id-bool", "node-id-past-int64"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts["run_json"]))
         n_selected = len(record["rounds"][0]["selected"])

@@ -1,6 +1,7 @@
 """Engine behaviour: readings, feedback, observation state, full simulations."""
 
 import csv
+import dataclasses
 import threading
 import warnings
 
@@ -24,6 +25,7 @@ from edgesense.engine import (
     K_DEVIATION,
     TREND_WINDOW,
     ObservationState,
+    RunResult,
     _NoiseSource,
     feedback_proxy,
     fill_baseline,
@@ -36,6 +38,7 @@ from edgesense.engine import (
 from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, select_static
 from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
 from oracles import mark_detections, round_log_csv, trend_slope, window_mean
+from test_run_digests import DRAINED, build_traces
 
 
 class TestSensorReading:
@@ -590,17 +593,32 @@ class TestEmptySelection:
         assert run.event_detected == [False] * len(run.events)
 
 
+@pytest.fixture(scope="module")
+def drained_runs():
+    """One run per policy on a world whose batteries run flat: nodes die and
+    some rounds select nobody."""
+    traces = build_traces(DRAINED)
+    return {kind.value: run_simulation(DRAINED, traces, kind) for kind in POLICY_ORDER}
+
+
 class TestPersistence:
-    def test_save_load_roundtrip(self, runs, tmp_path):
+    def test_save_load_roundtrip(self, runs, drained_runs, tmp_path):
         path = tmp_path / "run.json"
-        for policy in ("adaptive", "ucb"):
-            run = runs[policy]
-            save_run(run, str(path))
-            loaded = load_run(str(path))
-            assert stable_json(loaded.to_dict()) == stable_json(run.to_dict())
-            assert np.array_equal(loaded.final_utilities, run.final_utilities)
-            assert np.array_equal(loaded.final_ucb_means, run.final_ucb_means)
-        assert np.any(loaded.final_ucb_means > 0.0)
+        for world, world_runs in (("tiny", runs), ("drained", drained_runs)):
+            for policy, run in world_runs.items():
+                save_run(run, str(path))
+                loaded = load_run(str(path))
+                assert stable_json(loaded.to_dict()) == stable_json(run.to_dict())
+                for field in dataclasses.fields(RunResult):
+                    got, want = getattr(loaded, field.name), getattr(run, field.name)
+                    where = (world, policy, field.name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and np.array_equal(got, want), where
+                    else:
+                        assert type(got) is type(want) and got == want, where
+        assert np.any(runs["ucb"].final_ucb_means > 0.0)
+        for run in drained_runs.values():
+            assert np.any(run.death_round >= 0) and np.any(run.n_selected == 0)
 
     def test_record_without_learner_state_loads_run_start_state(self, runs, tmp_path):
         record = runs["ucb"].to_dict()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from edgesense.core import Pollutant, SimConfig
-from edgesense.engine import RoundLog, RunResult, run_simulation
+from edgesense.engine import RunResult, run_simulation
 from edgesense.metrics import (
     Comparison,
     avg_daily_energy,
@@ -47,10 +47,6 @@ def flat_run(
     """Hand-built run record with a prescribed average daily energy."""
     rounds = days * rounds_per_day
     cfg = config if config is not None else SimConfig(n_zones=1, nodes_per_zone=n_nodes).to_dict()
-    sel = np.arange(selected_per_round, dtype=np.int64)
-    logs = [
-        RoundLog(t, sel, 0.0, np.zeros(selected_per_round), (), 0.0, 0.0) for t in range(rounds)
-    ]
     events = events or []
     detected = detected if detected is not None else [False] * len(events)
     return RunResult(
@@ -58,7 +54,12 @@ def flat_run(
         policy=policy,
         seed=seed,
         trace_hash=trace_hash,
-        logs=logs,
+        selected=np.tile(np.arange(selected_per_round, dtype=np.int32), rounds),
+        feedback=np.zeros(rounds * selected_per_round),
+        n_selected=np.full(rounds, selected_per_round, dtype=np.int64),
+        spent=np.zeros(rounds),
+        budget=np.zeros(rounds),
+        mean_reward=np.zeros(rounds),
         energy_cost=np.ones(n_nodes),
         zone_of=np.zeros(n_nodes, dtype=np.int64),
         final_battery=np.full(n_nodes, 21600.0 - daily_energy * days),
