@@ -16,6 +16,11 @@ per-candidate scan.
 The record pins hash the bytes a drained run is saved as: its run record
 JSON and its round-log CSV. The digests above hash what a run decides; these
 also catch a change in how the record spells it.
+
+The full world gives every node the same cost and the fleet a budget that
+funds all of them, so budgeted runs admit every node in every round, in
+score order rather than id order. A shortcut that reads a round's noise
+rows as they lie when every node reads would hand nodes each other's draws.
 """
 
 import hashlib
@@ -66,6 +71,14 @@ WIDE_GOLDEN = {
     ("periodic", False): "7cc931013e96e64747203728555772c83647c9d973f12445a86c7df6a2514655",
     ("ucb", False): "c2f064b125cceb5e5da379f230d7be2d8d31a500f92eb0166bf0158dfe208dab",
     ("adaptive", False): "e0c130ba7916527f1c3cddd94afbb4fded1091d40e0696e1594a3a51bf4c948a",
+}
+
+FULL = SimConfig(n_zones=2, nodes_per_zone=3, rounds=200, energy_cost_range=(1.0, 1.0), budget_fraction=1.0,
+                 hierarchy=False, score_floor=0.0)
+
+FULL_GOLDEN = {
+    "ucb": "4f6f768900ef28e5c5a6f18bde5ff7dc3e67b1f89589148f3ef7d62fda6089a3",
+    "adaptive": "62df3750f6d8a928a6eb71cb338f36f9c83437163b2f3c079c29ab79b2eb388a",
 }
 
 
@@ -143,3 +156,12 @@ def test_drained_world_saves_the_recorded_bytes(drained_traces, tmp_path, policy
         csv_bytes = fh.read()
     assert (hashlib.sha256(stable_json(run.to_dict()).encode()).hexdigest(),
             hashlib.sha256(csv_bytes).hexdigest()) == RECORD_BYTES[policy]
+
+
+@pytest.mark.parametrize("policy", list(FULL_GOLDEN))
+def test_full_admission_out_of_id_order_reproduces_the_recorded_run(policy):
+    run = run_simulation(FULL, build_traces(FULL), policy)
+    # every node reads in every round, mostly in an order other than by id
+    assert all(lg.selected.size == FULL.n_nodes for lg in run.logs)
+    assert sum(lg.selected.tolist() != sorted(lg.selected.tolist()) for lg in run.logs) > FULL.rounds // 2
+    assert run_digest(run) == FULL_GOLDEN[policy]
