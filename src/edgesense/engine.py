@@ -8,8 +8,8 @@ kept as columns (RunResult). Event detection is scored once the loop is
 done, in one pass over them: no selection, budget or learning step reads it.
 
 Determinism: every random draw comes from a counter-based stream keyed by
-(seed, purpose, round), with per-node draws positional inside the round
-block. Reordering policies or rerunning cannot shift anybody's noise.
+(seed, purpose, round), with per-node draws positional inside each
+round's draws. Reordering policies or rerunning cannot shift anybody's noise.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import logging
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from operator import add
 
@@ -30,6 +30,7 @@ from .core import (
     Fleet,
     N_POLLUTANTS,
     STREAM_READING,
+    Pollutant,
     SimConfig,
     build_fleet,
     require_valid,
@@ -363,18 +364,15 @@ class _NoiseSource:
             return None
         return self._pool.submit(self._gen.standard_normal, self._chunk * self._per_round)
 
-    def chunk_of(self, t: int) -> np.ndarray:
-        """The whole chunk holding round t, [chunk_rounds, per_round]; row i
-        is round_block(base + i), base being the chunk's first round."""
+    def rest_of_chunk(self, t: int) -> np.ndarray:
+        """The rounds of the chunk holding round t from round t on, one row
+        of per_round draws each."""
         base = (t // self._chunk) * self._chunk
         if base != self._base:
             self._buf = self._next.result().reshape(self._chunk, self._per_round)
             self._base = base
             self._next = self._draw(base + self._chunk)
-        return self._buf
-
-    def round_block(self, t: int) -> np.ndarray:
-        return self.chunk_of(t)[t % self._chunk]
+        return self._buf[t - base:]
 
     def __enter__(self) -> "_NoiseSource":
         return self
@@ -382,6 +380,51 @@ class _NoiseSource:
     def __exit__(self, *exc) -> None:
         # waits for a draw in flight; no helper thread outlives the source
         self._pool.shutdown(wait=True)
+
+
+def _reading_step(cfg: SimConfig, values: np.ndarray, noise: _NoiseSource, zone_of: np.ndarray, block: int):
+    """The reading step of both loops: read(base, length, rows, unseen,
+    window) gives the feedback of each row read in the block of length <=
+    block rounds from round base, inside one noise chunk; a budgeted round is
+    a block of one. rows: round * n_nodes + node, the round counted from base,
+    in round and selection order; unseen: obs.unseen before the block.
+    window(cur_sum, cur_cnt, cur_mean) takes the block's [length, zones,
+    pollutants] channel sums, counts and means and returns the baselines
+    (merged() after each round's evict)."""
+    n_zones = cfg.n_zones
+    values = values.reshape(-1, N_POLLUTANTS)  # a row per (round, zone) cell
+    # each (round, node) position's (round, zone) cell, each cell's flat
+    # (round, zone, pollutant) channels, and a block's means where nothing was read
+    cell_of = (np.arange(block)[:, None] * n_zones + zone_of).ravel()
+    channels = np.arange(block * n_zones * N_POLLUTANTS).reshape(-1, N_POLLUTANTS)
+    no_mean = np.full((block, n_zones, N_POLLUTANTS), np.nan)
+    # a block's big arrays live until the next block replaces them: freed on return, the
+    # heap top went back to the OS and faulted in again (5-10x desk static's page faults)
+    cell = eps = truth = measured = keys = bl = None
+
+    def read(base: int, length: int, rows: np.ndarray, unseen: int, window) -> np.ndarray:
+        nonlocal cell, eps, truth, measured, keys, bl
+        cell = cell_of[rows]
+        eps = noise.rest_of_chunk(base).reshape(-1, N_POLLUTANTS).take(rows, axis=0)
+        truth = values[base * n_zones:].take(cell, axis=0)
+        measured = sensor_reading(truth, eps, cfg.noise_sigma)
+
+        # bincount adds each bin's readings in row order, so a round's sums are
+        # the same in any block; without readings it gives integers, hence the casts
+        keys = channels.take(cell, axis=0).ravel()
+        unread = no_mean[:length]
+        cur_sum = np.bincount(keys, measured.ravel(), unread.size).astype(np.float64, copy=False).reshape(unread.shape)
+        cur_cnt = np.bincount(keys, None, unread.size).astype(np.float64).reshape(unread.shape)
+        cur_mean = np.divide(cur_sum, cur_cnt, out=unread.copy(), where=cur_cnt > 0)
+
+        merged = window(cur_sum, cur_cnt, cur_mean)
+        bl = fill_baseline(merged, cur_mean) if unseen else merged  # no NaN once every channel is seen
+        bl = bl.reshape(-1, N_POLLUTANTS).take(cell, axis=0)
+        # the max of each row, taken over a pollutant-major copy: max is
+        # exact, and this is cheaper than a max along short rows
+        return np.ascontiguousarray(feedback_proxy(measured, bl).T).max(axis=0)
+
+    return read
 
 
 class _Batteries:
@@ -450,8 +493,9 @@ class _Record:
 
     def columns(self) -> dict:
         """RunResult's column fields; the record is spent."""
-        self._ids.resize(self._size)
-        self._feedback.resize(self._size)
+        # no view of either column is out, but a profiler may hold the bound method
+        self._ids.resize(self._size, refcheck=False)
+        self._feedback.resize(self._size, refcheck=False)
         return dict(selected=self._ids, feedback=self._feedback, n_selected=np.array(self.counts, dtype=np.int64),
                     spent=np.array(self.spent), budget=np.array(self.budget), mean_reward=np.array(self.mean_reward))
 
@@ -503,14 +547,15 @@ def run_simulation(
     obs = ObservationState(cfg.n_zones, cfg.rounds_per_day)
     events = list(traces.events)
 
+    fixed = policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC)
+    block = max(1, min(cfg.rounds_per_day, FIXED_BLOCK_ROWS // n)) if fixed else 1
     record = _Record(cfg.rounds, n)
     with _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day, cfg.rounds) as noise:
-        if policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC):
-            max_violation, n_budgeted = _run_fixed(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs,
-                                                   record)
+        read = _reading_step(cfg, traces.values, noise, zone_of, block)
+        if fixed:
+            max_violation, n_budgeted = _run_fixed(cfg, policy_kind, read, block, batteries, obs, record)
         else:
-            max_violation, n_budgeted = _run_rounds(cfg, policy_kind, traces.values, noise, batteries, zone_of, obs,
-                                                    state, record)
+            max_violation, n_budgeted = _run_rounds(cfg, policy_kind, read, batteries, obs, state, record)
     columns = record.columns()
     detected, detect_round = _detect_events(columns["selected"], columns["feedback"], columns["n_selected"],
                                             zone_of, events, cfg.n_zones, cfg.detect_threshold)
@@ -537,23 +582,20 @@ def run_simulation(
     )
 
 
-def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state, record):
+def _run_rounds(cfg, policy_kind, read, batteries, obs, state, record):
     """run_simulation's round loop for ucb and adaptive. Writes each round
     to record and returns the worst budget overspend and the number of
     budgeted cluster selections."""
     costs = batteries.costs
-    n = costs.size
-    pulls = batteries.pulls
     max_energy = float(costs.max())
-    # flat (zone, pollutant) channel of each node's readings, for np.bincount
-    n_zones = cfg.n_zones
-    n_channels = n_zones * N_POLLUTANTS
-    node_channels = zone_of[:, None] * N_POLLUTANTS + np.arange(N_POLLUTANTS)
-    no_mean = np.full((n_zones, N_POLLUTANTS), np.nan)
     global_budget = cfg.budget_fraction * float(costs.sum())
     # zone context for the budget split: |trend| and level, stacked for one scalarize pass
-    context = np.empty((n_zones, 2, N_POLLUTANTS))
+    context = np.empty((cfg.n_zones, 2, N_POLLUTANTS))
     floor = cfg.score_floor if policy_kind is PolicyKind.ADAPTIVE else 0.0
+
+    def window(cur_sum, cur_cnt, cur_mean):  # round t's: push its sums, give its baseline
+        obs.push(t, cur_sum[0], cur_cnt[0], cur_mean[0])
+        return merged
 
     max_violation = 0.0
     n_budgeted = 0
@@ -573,7 +615,7 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state,
             budgets = [global_budget]
         # score the fleet once, then admit in every cluster in one call
         if policy_kind is PolicyKind.UCB:
-            scores = ucb_scores(state.ucb_means, pulls, costs, t + 1, cfg.ucb_c)
+            scores = ucb_scores(state.ucb_means, batteries.pulls, costs, t + 1, cfg.ucb_c)
         else:
             scores = state.utilities / costs
         res = select_budgeted(batteries.cand_ids, scores, costs, budgets, floor)
@@ -586,25 +628,7 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state,
         spent = float(sel_costs.sum()) if sel.size else 0.0
         sel_pulls = batteries.activate(sel, sel_costs, t)
 
-        # readings for activated nodes only; the noise layout covers the whole
-        # fleet so selection cannot shift anyone else's draws
-        eps = noise.round_block(t).reshape(n, N_POLLUTANTS)
-        sel_zones = zone_of[sel]
-        # row gathers by take: the same rows as fancy indexing, at less overhead
-        measured = sensor_reading(values[t].take(sel_zones, axis=0), eps.take(sel, axis=0), cfg.noise_sigma)
-
-        # per-channel sums add each channel's readings in selection order; an
-        # empty round's bincount comes back as integers, hence the casts
-        channels = node_channels.take(sel, axis=0).ravel()
-        cur_sum = np.bincount(channels, measured.ravel(), n_channels).astype(np.float64, copy=False)
-        cur_sum = cur_sum.reshape(n_zones, N_POLLUTANTS)
-        cur_cnt = np.bincount(channels, None, n_channels).astype(np.float64).reshape(n_zones, N_POLLUTANTS)
-        cur_mean = np.divide(cur_sum, cur_cnt, out=no_mean.copy(), where=cur_cnt > 0)
-
-        bl = fill_baseline(merged, cur_mean) if obs.unseen else merged
-        # the max of each node's row, taken over a pollutant-major copy:
-        # max is exact, and this is cheaper than a max along short rows
-        feedback = np.ascontiguousarray(feedback_proxy(measured, bl.take(sel_zones, axis=0)).T).max(axis=0)
+        feedback = read(t, 1, sel, obs.unseen, window)
 
         mean_reward = 0.0
         if sel.size:
@@ -617,31 +641,21 @@ def _run_rounds(cfg, policy_kind, values, noise, batteries, zone_of, obs, state,
             rewards = reward(feedback, sel_costs, cfg.alpha, cfg.beta)
             mean_reward = float(rewards.sum() / rewards.size)
 
-        obs.push(t, cur_sum, cur_cnt, cur_mean)
-
         # the round's budget adds the cluster budgets left to right: np.sum
         # adds pairwise, and sum() compensates from Python 3.12 on
         record.write(sel, feedback, [sel.size], [spent], [reduce(add, budgets, 0.0)], [mean_reward])
     return max_violation, n_budgeted
 
 
-def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs, record):
-    """run_simulation's loop for static and periodic, in blocks of at least
-    one round and at most FIXED_BLOCK_ROWS (round, node) rows. A block never
-    crosses a day, which is one noise chunk and one baseline window. A fixed
-    schedule never reads the observation state, so only selection goes
-    round by round. The batteries do too in a block where some node may die
-    (_Batteries.survive); otherwise the candidates cannot change inside the
-    block, and its activations are counted once. Readings, channel sums,
-    the window, baselines, feedback and rewards are array passes over the
-    block's rows, each element computed by the same float operations in the
-    same order as in a single round. Spend and mean reward are sums over
-    one round's contiguous rows, as rows of a [rounds, rows per round] view
-    when every round reads alike, so their pairwise summation order is a
-    round's too. Writes the record and returns what _run_rounds returns."""
+def _run_fixed(cfg, policy_kind, read, block, batteries, obs, record):
+    """run_simulation's loop for static and periodic, in blocks of one to
+    block rounds that never cross a day (a noise chunk and a baseline window).
+    A fixed schedule never reads the observation state, so only selection goes
+    round by round, and the batteries in a block where some node may die
+    (_Batteries.survive); otherwise its activations are counted once. Writes
+    the record; returns what _run_rounds does."""
     costs = batteries.costs
-    n, n_zones, per_day = costs.size, cfg.n_zones, cfg.rounds_per_day
-    block = max(1, min(per_day, FIXED_BLOCK_ROWS // n))
+    n, per_day = costs.size, cfg.rounds_per_day
     base = 0
     while base < cfg.rounds:
         length = min(block, per_day - base % per_day, cfg.rounds - base)
@@ -656,39 +670,13 @@ def _run_fixed(cfg, policy_kind, values, noise, batteries, zone_of, obs, record)
                 batteries.activate(sel, costs[sel], t)
             sels.append(sel)
 
-        # the block's rows, round by round and in selection order within a
-        # round, and the (round, zone) cell of each, counted from base
+        # the block's node ids in round order, and their (round, node) positions
         counts = [sel.size for sel in sels]
         rows = np.concatenate(sels)
         if charge_once:
             batteries.pulls += np.bincount(rows, minlength=n)
-        row_round = np.repeat(np.arange(length), counts)
-        cell = row_round * n_zones + zone_of[rows]
-        chunk = noise.chunk_of(base).reshape(-1, N_POLLUTANTS)
-        first = base % per_day * n
-        if rows.size == length * n:
-            # every node in every round, in id order: the chunk's rows as they lie
-            eps = chunk[first:first + rows.size]
-        else:
-            eps = chunk.take(row_round * n + first + rows, axis=0)
-        truth = values[base:base + length].reshape(-1, N_POLLUTANTS).take(cell, axis=0)
-        measured = sensor_reading(truth, eps, cfg.noise_sigma)
-
-        # per-(round, channel) sums: bincount adds each bin's readings in row
-        # order, and counts a cell's rows once for all its pollutants; a block
-        # without readings comes back as integers, hence the casts
-        keys = (cell[:, None] * N_POLLUTANTS + np.arange(N_POLLUTANTS)).ravel()
-        shape = (length, n_zones, N_POLLUTANTS)
-        cur_sum = np.bincount(keys, measured.ravel(), length * n_zones * N_POLLUTANTS)
-        cur_sum = cur_sum.astype(np.float64, copy=False).reshape(shape)
-        cur_cnt = np.repeat(np.bincount(cell, None, length * n_zones), N_POLLUTANTS).astype(np.float64).reshape(shape)
-        cur_mean = np.divide(cur_sum, cur_cnt, out=np.full(shape, np.nan), where=cur_cnt > 0)
-
-        # fill_baseline leaves a merged window without NaN as it is, which
-        # is what a round-by-round walk uses once every channel has been seen
-        bl = fill_baseline(obs.push_day(base, cur_sum, cur_cnt, cur_mean), cur_mean)
-        bl = bl.reshape(-1, N_POLLUTANTS).take(cell, axis=0)
-        feedback = np.ascontiguousarray(feedback_proxy(measured, bl).T).max(axis=0)
+        positions = np.repeat(np.arange(0, length * n, n), counts) + rows
+        feedback = read(base, length, positions, obs.unseen, partial(obs.push_day, base))
         row_costs = costs[rows]
         rewards = reward(feedback, row_costs, cfg.alpha, cfg.beta)
 
@@ -752,8 +740,6 @@ def run_from_dict(d: dict) -> RunResult:
     record written before the final learner state was saved loads with the
     run-start state. A record whose parts contradict each other raises
     ValueError."""
-    from .core import Pollutant
-
     n = len(d["energy_cost"])
     n_zones = d["config"]["n_zones"]
     rounds = d["rounds"]
@@ -761,6 +747,13 @@ def run_from_dict(d: dict) -> RunResult:
     if not set(map(type, ids)) <= {int}:
         t, value = next((t, i) for t, r in enumerate(rounds) for i in r["selected"] if type(i) is not int)
         raise ValueError(f"round {t} selects {value!r}, which is not a node id")
+    # JSON numbers load as ints and floats; numpy would take strings and bools too
+    feedback = list(chain.from_iterable(r["feedback"] for r in rounds))
+    per_round = {key: [r[key] for r in rounds] for key in ("spent", "budget", "mean_reward")}
+    if not set(map(type, chain(feedback, *per_round.values()))) <= {int, float}:
+        t, key, value = next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", *per_round)
+                             for v in (r[k] if k == "feedback" else [r[k]]) if type(v) not in (int, float))
+        raise ValueError(f"round {t} has {key} {value!r}, which is not a number")
     events = [
         EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]), e["magnitude"])
         for e in d["events"]
@@ -771,11 +764,9 @@ def run_from_dict(d: dict) -> RunResult:
         seed=d["seed"],
         trace_hash=d["trace_hash"],
         selected=np.fromiter(ids, dtype=np.int64, count=len(ids)),
-        feedback=np.fromiter(chain.from_iterable(r["feedback"] for r in rounds), dtype=np.float64),
+        feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
         n_selected=np.array([len(r["selected"]) for r in rounds], dtype=np.int64),
-        spent=np.array([r["spent"] for r in rounds], dtype=np.float64),
-        budget=np.array([r["budget"] for r in rounds], dtype=np.float64),
-        mean_reward=np.array([r["mean_reward"] for r in rounds], dtype=np.float64),
+        **{key: np.array(values, dtype=np.float64) for key, values in per_round.items()},
         energy_cost=np.asarray(d["energy_cost"], dtype=np.float64),
         zone_of=np.asarray(d["zone_of"], dtype=np.int64),
         final_battery=np.asarray(d["final_battery"], dtype=np.float64),
@@ -798,12 +789,13 @@ def run_from_dict(d: dict) -> RunResult:
 def _check_consistent(run: RunResult, n_zones: int, rounds: list) -> None:
     """Raise ValueError unless a loaded run agrees with itself and with the
     record's rounds: the per-node arrays agree in length; zone ids (of nodes
-    and of events) name one of the n_zones zones; there is one detection
-    flag and round per event, and each flag agrees with its round, which
-    lies in the event's window; every round is numbered by its position,
-    has one feedback value per selection and lists the events that
-    event_detect_round says it first detected; every selected id names a
-    node."""
+    and of events) name one of the n_zones zones; there is one detection flag
+    and round per event, and each flag agrees with its round, which lies in the
+    event's window; every round is numbered by its position, has one feedback
+    value per selection and lists the events that event_detect_round says it
+    first detected; every selected id names a node; total_spent adds the
+    rounds' spends left to right; activation_counts and final_battery follow
+    from the selections."""
     n = run.n_nodes
     for name in ("zone_of", "final_battery", "activation_counts", "death_round",
                  "final_utilities", "final_ucb_means"):
@@ -836,6 +828,13 @@ def _check_consistent(run: RunResult, n_zones: int, rounds: list) -> None:
     if outside.size:
         t = int(np.searchsorted(np.cumsum(run.n_selected), outside[0], side="right"))
         raise ValueError(f"round {t} selects a node outside 0..{n - 1}")
+    if run.total_spent != reduce(add, run.spent.tolist(), 0.0):
+        raise ValueError("total_spent is not the sum of the rounds' spent")
+    for name, want in (("activation_counts", np.bincount(run.selected, minlength=n)),
+                       ("final_battery", run.config["battery_capacity"] - run.activation_counts * run.energy_cost)):
+        wrong = np.flatnonzero(getattr(run, name) != want)
+        if wrong.size:
+            raise ValueError(f"{name} of node {wrong[0]} disagrees with the rounds' selections")
 
 
 def write_round_log_csv(run: RunResult, path: str) -> None:

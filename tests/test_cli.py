@@ -322,11 +322,24 @@ class TestReport:
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, True), "round 0 selects True, which is not a node id"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, 2 ** 70),
          "malformed record: Python int too large to convert to C long"),
+        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, "0.5"), "round 0 has feedback '0.5', which is not a number"),
+        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, False), "round 0 has feedback False, which is not a number"),
+        (lambda r: r["rounds"][3].__setitem__("spent", "1.5"), "round 3 has spent '1.5', which is not a number"),
+        (lambda r: r["rounds"][3].__setitem__("spent", True), "round 3 has spent True, which is not a number"),
+        (lambda r: r["rounds"][2].__setitem__("budget", None), "round 2 has budget None, which is not a number"),
+        (lambda r: r["rounds"][1].__setitem__("mean_reward", [0.1]),
+         "round 1 has mean_reward [0.1], which is not a number"),
+        (lambda r: r.update(total_spent=r["total_spent"] * 100), "total_spent is not the sum of the rounds' spent"),
+        (lambda r: r.update(activation_counts=[0] * 6),
+         "activation_counts of node 0 disagrees with the rounds' selections"),
+        (lambda r: r.update(final_battery=[1.0] * 6), "final_battery of node 0 disagrees with the rounds' selections"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
             "detect-round-outside-window", "round-misnumbered", "round-lists-an-undetected-event",
-            "round-drops-its-detection", "node-id-float", "node-id-bool", "node-id-past-int64"])
+            "round-drops-its-detection", "node-id-float", "node-id-bool", "node-id-past-int64",
+            "feedback-string", "feedback-bool", "spent-string", "spent-bool", "budget-null", "mean-reward-list",
+            "total-spent-inflated", "activation-counts-zero", "final-battery-full"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts["run_json"]))
         n_selected = len(record["rounds"][0]["selected"])

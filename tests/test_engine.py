@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import sys
 import threading
 import warnings
 
@@ -38,7 +39,7 @@ from edgesense.engine import (
 from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, select_static
 from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
 from oracles import mark_detections, round_log_csv, trend_slope, window_mean
-from test_run_digests import DRAINED, build_traces
+from test_run_digests import DRAINED, build_traces, run_digest
 
 
 class TestSensorReading:
@@ -271,7 +272,7 @@ class TestNoiseSource:
         for rounds in (30, 29, 0):
             for chunk in (1, 5, 7):
                 with _NoiseSource(3, per_round, chunk_rounds=chunk, rounds=rounds) as src:
-                    got = np.stack([src.round_block(t) for t in range(rounds)]) if rounds else raw[:0]
+                    got = np.stack([src.rest_of_chunk(t)[0] for t in range(rounds)]) if rounds else raw[:0]
                 assert np.array_equal(got, raw[:rounds])
                 # whole chunks up to the one holding the last round were
                 # drawn, and nothing past it
@@ -279,6 +280,20 @@ class TestNoiseSource:
                 ref = stream(3, STREAM_READING)
                 ref.standard_normal(drawn)
                 assert np.array_equal(src._gen.standard_normal(4), ref.standard_normal(4))
+
+
+@pytest.mark.parametrize("policy", ["static", "ucb"])
+def test_a_run_under_a_profile_hook_is_the_same_run(policy):
+    # a profile hook holds each C function it sees called, the bound resize
+    # that shrinks the record's columns among them
+    traces = build_traces(DRAINED)
+    want = run_simulation(DRAINED, traces, policy)
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        got = run_simulation(DRAINED, traces, policy)
+    finally:
+        sys.setprofile(None)
+    assert run_digest(got) == run_digest(want)
 
 
 class TestHelperThreads:
