@@ -39,8 +39,6 @@ from .core import (
 from .policy import (
     INITIAL_UTILITY,
     PolicyKind,
-    PolicyState,
-    make_policy_state,
     normalized_payoff,
     reward,
     select_budgeted,
@@ -427,31 +425,47 @@ def _reading_step(cfg: SimConfig, values: np.ndarray, noise: _NoiseSource, zone_
     return read
 
 
-class _Batteries:
-    """Activation counts and deaths per node. A node dies once it cannot
-    fund its next activation; only activations change that, so the
-    candidates (the fundable nodes) change only when a node dies. A caller
-    that knows no node can die (survive) may add activations to pulls
-    itself; activate charges one round and records the deaths it causes."""
+def _cannot_fund(pulls, costs, capacity):
+    """The battery rule: whether a node with pulls activations cannot fund another."""
+    return (pulls + 1) * costs > capacity
+
+
+def _charge_left(pulls, costs, capacity):
+    """The battery rule's remaining charge after pulls activations."""
+    return capacity - pulls * costs
+
+
+class _RunState:
+    """What a run carries from round to round: per node, activations, deaths
+    and what the policy has learned; the budget tallies. A node dies once it
+    cannot fund its next activation (_cannot_fund); only activations change
+    that, so the candidates (the fundable nodes) change only when a node
+    dies. A caller that knows no node can die (survive) may add activations
+    to pulls itself; activate charges one round and records the deaths it
+    causes."""
 
     def __init__(self, costs: np.ndarray, capacity: float):
         n = costs.size
         self.costs = costs
         self.capacity = capacity
         self.pulls = np.zeros(n, dtype=np.int64)
-        self.fundable = costs <= capacity
+        self.fundable = ~_cannot_fund(self.pulls, costs, capacity)
         self.death_round = np.full(n, -1, dtype=np.int64)
         self._node_ids = np.arange(n, dtype=np.int64)
         # a static block holds cand_ids itself as each round's selection, so
         # it is replaced, never written to
         self.cand_ids = self._node_ids[self.fundable]
+        self.utilities = np.full(n, INITIAL_UTILITY)  # adaptive: EMA utility, in [0, 1]
+        self.ucb_means = np.zeros(n)                  # bandit: mean normalized payoff
+        self.max_violation = 0.0
+        self.n_budgeted = 0
 
     def activate(self, sel: np.ndarray, sel_costs: np.ndarray, t: int) -> np.ndarray:
         """Charge round t's selection, every node of it fundable, and return
         the selected nodes' activation counts, this round's included."""
         sel_pulls = self.pulls[sel] + 1
         self.pulls[sel] = sel_pulls
-        newly_dead = sel[(sel_pulls + 1) * sel_costs > self.capacity]
+        newly_dead = sel[_cannot_fund(sel_pulls, sel_costs, self.capacity)]
         if newly_dead.size:
             self.fundable[newly_dead] = False
             self.death_round[newly_dead] = t
@@ -460,10 +474,10 @@ class _Batteries:
 
     def survive(self, k: int) -> bool:
         """Whether every candidate stays fundable through k more activations:
-        activate's death test after the k-th. The test only grows with the
-        pull count, so no fewer activations kill a node either."""
+        the death test after the k-th. The test only grows with the pull
+        count, so no fewer activations kill a node either."""
         cand = self.cand_ids
-        return not ((self.pulls[cand] + k + 1) * self.costs[cand] > self.capacity).any()
+        return not _cannot_fund(self.pulls[cand] + k, self.costs[cand], self.capacity).any()
 
 
 class _Record:
@@ -542,8 +556,7 @@ def run_simulation(
     n = fleet.n_nodes
     costs = fleet.energy_cost
     zone_of = fleet.zone_id.astype(np.int64)
-    batteries = _Batteries(costs, cfg.battery_capacity)
-    state: PolicyState = make_policy_state(n)
+    state = _RunState(costs, cfg.battery_capacity)
     obs = ObservationState(cfg.n_zones, cfg.rounds_per_day)
     events = list(traces.events)
 
@@ -553,9 +566,9 @@ def run_simulation(
     with _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day, cfg.rounds) as noise:
         read = _reading_step(cfg, traces.values, noise, zone_of, block)
         if fixed:
-            max_violation, n_budgeted = _run_fixed(cfg, policy_kind, read, block, batteries, obs, record)
+            _run_fixed(cfg, policy_kind, read, block, state, obs, record)
         else:
-            max_violation, n_budgeted = _run_rounds(cfg, policy_kind, read, batteries, obs, state, record)
+            _run_rounds(cfg, policy_kind, read, state, obs, record)
     columns = record.columns()
     detected, detect_round = _detect_events(columns["selected"], columns["feedback"], columns["n_selected"],
                                             zone_of, events, cfg.n_zones, cfg.detect_threshold)
@@ -568,25 +581,25 @@ def run_simulation(
         **columns,
         energy_cost=costs,
         zone_of=zone_of,
-        final_battery=cfg.battery_capacity - batteries.pulls * costs,
-        activation_counts=batteries.pulls,
-        death_round=batteries.death_round,
+        final_battery=_charge_left(state.pulls, costs, state.capacity),
+        activation_counts=state.pulls,
+        death_round=state.death_round,
         events=events,
         event_detected=detected,
         event_detect_round=detect_round,
         total_spent=reduce(add, record.spent, 0.0),  # left to right, like a round's budget in _run_rounds
-        max_budget_violation=max(0.0, max_violation),
-        n_budgeted_selections=n_budgeted,
+        max_budget_violation=max(0.0, state.max_violation),
+        n_budgeted_selections=state.n_budgeted,
         final_utilities=state.utilities,
         final_ucb_means=state.ucb_means,
     )
 
 
-def _run_rounds(cfg, policy_kind, read, batteries, obs, state, record):
+def _run_rounds(cfg, policy_kind, read, state, obs, record):
     """run_simulation's round loop for ucb and adaptive. Writes each round
-    to record and returns the worst budget overspend and the number of
-    budgeted cluster selections."""
-    costs = batteries.costs
+    to record and leaves the worst budget overspend and the number of
+    budgeted cluster selections in state."""
+    costs = state.costs
     max_energy = float(costs.max())
     global_budget = cfg.budget_fraction * float(costs.sum())
     # zone context for the budget split: |trend| and level, stacked for one scalarize pass
@@ -598,7 +611,6 @@ def _run_rounds(cfg, policy_kind, read, batteries, obs, state, record):
         return merged
 
     max_violation = 0.0
-    n_budgeted = 0
     for t in range(cfg.rounds):
         obs.evict(t)
         merged = obs.merged()  # may hold NaN while some channel was never sampled
@@ -615,18 +627,17 @@ def _run_rounds(cfg, policy_kind, read, batteries, obs, state, record):
             budgets = [global_budget]
         # score the fleet once, then admit in every cluster in one call
         if policy_kind is PolicyKind.UCB:
-            scores = ucb_scores(state.ucb_means, batteries.pulls, costs, t + 1, cfg.ucb_c)
+            scores = ucb_scores(state.ucb_means, state.pulls, costs, t + 1, cfg.ucb_c)
         else:
             scores = state.utilities / costs
-        res = select_budgeted(batteries.cand_ids, scores, costs, budgets, floor)
+        res = select_budgeted(state.cand_ids, scores, costs, budgets, floor)
         sel = res.selected
-        n_budgeted += len(budgets)
         for cost, budget in zip(res.cluster_cost.tolist(), budgets):
             max_violation = max(max_violation, cost - budget)
 
         sel_costs = costs[sel]
         spent = float(sel_costs.sum()) if sel.size else 0.0
-        sel_pulls = batteries.activate(sel, sel_costs, t)
+        sel_pulls = state.activate(sel, sel_costs, t)
 
         feedback = read(t, 1, sel, obs.unseen, window)
 
@@ -644,37 +655,38 @@ def _run_rounds(cfg, policy_kind, read, batteries, obs, state, record):
         # the round's budget adds the cluster budgets left to right: np.sum
         # adds pairwise, and sum() compensates from Python 3.12 on
         record.write(sel, feedback, [sel.size], [spent], [reduce(add, budgets, 0.0)], [mean_reward])
-    return max_violation, n_budgeted
+    state.max_violation = max_violation
+    state.n_budgeted = cfg.rounds * (cfg.n_zones if cfg.hierarchy else 1)  # a selection per cluster a round
 
 
-def _run_fixed(cfg, policy_kind, read, block, batteries, obs, record):
+def _run_fixed(cfg, policy_kind, read, block, state, obs, record):
     """run_simulation's loop for static and periodic, in blocks of one to
     block rounds that never cross a day (a noise chunk and a baseline window).
     A fixed schedule never reads the observation state, so only selection goes
     round by round, and the batteries in a block where some node may die
-    (_Batteries.survive); otherwise its activations are counted once. Writes
-    the record; returns what _run_rounds does."""
-    costs = batteries.costs
+    (_RunState.survive); otherwise its activations are counted once. Writes
+    the record; a fixed schedule has no budget to overspend."""
+    costs = state.costs
     n, per_day = costs.size, cfg.rounds_per_day
     base = 0
     while base < cfg.rounds:
         length = min(block, per_day - base % per_day, cfg.rounds - base)
-        charge_once = batteries.survive(length)
+        charge_once = state.survive(length)
         sels = []
         for t in range(base, base + length):
             if policy_kind is PolicyKind.STATIC:
-                sel = select_static(batteries.cand_ids)
+                sel = select_static(state.cand_ids)
             else:
-                sel = select_periodic(batteries.cand_ids, t, cfg.periodic_period, cfg.periodic_duty)
+                sel = select_periodic(state.cand_ids, t, cfg.periodic_period, cfg.periodic_duty)
             if not charge_once:
-                batteries.activate(sel, costs[sel], t)
+                state.activate(sel, costs[sel], t)
             sels.append(sel)
 
         # the block's node ids in round order, and their (round, node) positions
         counts = [sel.size for sel in sels]
         rows = np.concatenate(sels)
         if charge_once:
-            batteries.pulls += np.bincount(rows, minlength=n)
+            state.pulls += np.bincount(rows, minlength=n)
         positions = np.repeat(np.arange(0, length * n, n), counts) + rows
         feedback = read(base, length, positions, obs.unseen, partial(obs.push_day, base))
         row_costs = costs[rows]
@@ -693,7 +705,6 @@ def _run_fixed(cfg, policy_kind, read, block, batteries, obs, record):
         # a fixed schedule has no cap: it reports what it spends as its budget
         record.write(rows, feedback, counts, spents, spents, mean_rewards)
         base += length
-    return 0.0, 0  # a fixed schedule has no budget to overspend
 
 
 def _detect_events(selected, feedback, n_selected, zone_of, events, n_zones, threshold):
@@ -831,7 +842,8 @@ def _check_consistent(run: RunResult, n_zones: int, rounds: list) -> None:
     if run.total_spent != reduce(add, run.spent.tolist(), 0.0):
         raise ValueError("total_spent is not the sum of the rounds' spent")
     for name, want in (("activation_counts", np.bincount(run.selected, minlength=n)),
-                       ("final_battery", run.config["battery_capacity"] - run.activation_counts * run.energy_cost)):
+                       ("final_battery", _charge_left(run.activation_counts, run.energy_cost,
+                                                      run.config["battery_capacity"]))):
         wrong = np.flatnonzero(getattr(run, name) != want)
         if wrong.size:
             raise ValueError(f"{name} of node {wrong[0]} disagrees with the rounds' selections")

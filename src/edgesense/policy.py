@@ -47,21 +47,6 @@ class BudgetedSelection:
     cluster_cost: np.ndarray
 
 
-@dataclass
-class PolicyState:
-    """Mutable learning state carried across rounds for one policy run."""
-
-    utilities: np.ndarray       # adaptive: EMA utility per node, in [0, 1]
-    ucb_means: np.ndarray       # bandit: mean normalized payoff per node
-
-
-def make_policy_state(n_nodes: int) -> PolicyState:
-    return PolicyState(
-        utilities=np.full(n_nodes, INITIAL_UTILITY, dtype=np.float64),
-        ucb_means=np.zeros(n_nodes, dtype=np.float64),
-    )
-
-
 def reward(info_gain, energy_cost, alpha: float, beta: float):
     """Sensing reward: information gain weighted against energy spent.
     Scalars or arrays (elementwise)."""

@@ -516,18 +516,29 @@ class TestBatteryDepletion:
         # veto; after one activation node 0 has (1 + 8 + 1) * 0.5 == 5.0
         costs = np.array([0.5, 0.25, 8.0])
         both = np.array([0, 1])
-        batteries = engine._Batteries(costs, 5.0)
-        batteries.activate(np.array([0]), costs[:1], 0)
-        assert batteries.survive(8) and not batteries.survive(9)
+        state = engine._RunState(costs, 5.0)
+        assert state.cand_ids.tolist() == [0, 1]
+        state.activate(np.array([0]), costs[:1], 0)
+        assert state.survive(8) and not state.survive(9)
         for t in range(1, 9):
-            batteries.activate(both, costs[both], t)
-        assert batteries.death_round.tolist() == [-1, -1, -1]
-        assert batteries.survive(0) and not batteries.survive(1)
-        batteries.activate(both, costs[both], 9)
-        assert batteries.death_round.tolist() == [9, -1, -1]
-        assert batteries.cand_ids.tolist() == [1]
+            state.activate(both, costs[both], t)
+        assert state.death_round.tolist() == [-1, -1, -1]
+        assert state.survive(0) and not state.survive(1)
+        state.activate(both, costs[both], 9)
+        assert state.death_round.tolist() == [9, -1, -1]
+        assert state.cand_ids.tolist() == [1]
         # node 1: (9 + 10 + 1) * 0.25 == 5.0
-        assert batteries.survive(10) and not batteries.survive(11)
+        assert state.survive(10) and not state.survive(11)
+        # node 0 holds 5.0 - 10 * 0.5 == 0.0, node 1 5.0 - 9 * 0.25
+        assert engine._charge_left(state.pulls, costs, 5.0).tolist() == [0.0, 2.75, 5.0]
+
+    def test_run_state_starts_optimistic_and_untallied(self):
+        state = engine._RunState(np.array([0.5, 0.25, 8.0, 1.0]), 5.0)
+        assert np.all(state.utilities == INITIAL_UTILITY)
+        assert INITIAL_UTILITY == 1.0
+        assert np.all(state.ucb_means == 0.0)
+        assert state.pulls.tolist() == [0, 0, 0, 0]
+        assert (state.max_violation, state.n_budgeted) == (0.0, 0)
 
     def test_round_log_matches_the_csv_module(self, drained_runs, tmp_path):
         path = tmp_path / "rounds.csv"

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from edgesense import policy
 from edgesense.policy import (
-    INITIAL_UTILITY,
     POLICY_ORDER,
     WIDE_FLEET,
     PolicyKind,
-    make_policy_state,
     normalized_payoff,
     reward,
     select_budgeted,
@@ -81,12 +79,6 @@ class TestScoring:
         )
         for g, w in zip(got, want):
             assert g.tolist() == w
-
-    def test_make_policy_state_optimistic_start(self):
-        state = make_policy_state(4)
-        assert np.all(state.utilities == INITIAL_UTILITY)
-        assert INITIAL_UTILITY == 1.0
-        assert np.all(state.ucb_means == 0.0)
 
 
 class TestNormalizedPayoff:

@@ -124,7 +124,7 @@ def test_charging_a_block_at_once_is_charging_it_round_by_round(cfg):
     for policy in ("static", "periodic"):
         for block_rows in (cfg.n_nodes, engine.FIXED_BLOCK_ROWS):
             with mock.patch.object(engine, "FIXED_BLOCK_ROWS", block_rows):
-                with mock.patch.object(engine._Batteries, "survive", lambda self, k: False):
+                with mock.patch.object(engine._RunState, "survive", lambda self, k: False):
                     by_round = run_simulation(cfg, traces, policy)
                 assert_same_run(run_simulation(cfg, traces, policy), by_round)
 
