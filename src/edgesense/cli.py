@@ -272,7 +272,7 @@ def _cmd_report(args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
         fmt = d.get("format", "")
-        if fmt == "edgesense-comparison/1":
+        if fmt == metrics.COMPARISON_FORMAT:
             if args.format == "json":
                 out = stable_json(d)
             elif args.format == "csv":

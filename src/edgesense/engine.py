@@ -15,7 +15,6 @@ round's draws. Reordering policies or rerunning cannot shift anybody's noise.
 from __future__ import annotations
 
 import json
-import logging
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -48,8 +47,6 @@ from .policy import (
     update_utility,
 )
 from .trace import EventSpec, TraceError, TraceSet, check_values
-
-log = logging.getLogger("edgesense.engine")
 
 RUN_FORMAT = "edgesense-run/1"
 

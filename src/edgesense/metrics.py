@@ -19,6 +19,7 @@ from .core import MINUTES_PER_DAY
 from .engine import RunResult
 
 BASELINE_POLICY = "static"
+COMPARISON_FORMAT = "edgesense-comparison/1"
 
 
 def lifetime_estimate(battery_capacity: float, daily_energy: float) -> float:
@@ -257,7 +258,7 @@ def render_text(comp: Comparison) -> str:
 
 def to_json_dict(comp: Comparison) -> dict:
     return {
-        "format": "edgesense-comparison/1",
+        "format": COMPARISON_FORMAT,
         "config": comp.config,
         "trace_hash": comp.trace_hash,
         "seeds": list(comp.seeds),
