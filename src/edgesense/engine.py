@@ -762,6 +762,15 @@ def run_from_dict(d: dict) -> RunResult:
         t, key, value = next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", *per_round)
                              for v in (r[k] if k == "feedback" else [r[k]]) if type(v) not in (int, float))
         raise ValueError(f"round {t} has {key} {value!r}, which is not a number")
+    for key, types, kind in (("zone_of", {int}, "an int"), ("activation_counts", {int}, "an int"),
+                             ("death_round", {int}, "an int"), ("energy_cost", {int, float}, "a number"),
+                             ("final_battery", {int, float}, "a number"),
+                             ("final_utilities", {int, float}, "a number"),
+                             ("final_ucb_means", {int, float}, "a number")):
+        values = d.get(key, ())  # a record may lack the learner state
+        if not set(map(type, values)) <= types:
+            node, value = next((i, v) for i, v in enumerate(values) if type(v) not in types)
+            raise ValueError(f"{key} of node {node} is {value!r}, which is not {kind}")
     events = [
         EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]), e["magnitude"])
         for e in d["events"]
@@ -803,7 +812,11 @@ def _check_consistent(run: RunResult, n_zones: int, rounds: list) -> None:
     value per selection and lists the events that event_detect_round says it
     first detected; every selected id names a node; total_spent adds the
     rounds' spends left to right; activation_counts and final_battery follow
-    from the selections."""
+    from the selections. Then what the run derives from its rounds: no node
+    is selected past what its battery funds; death_round is the round of a
+    node's last activation if the battery rule says it cannot fund another,
+    else -1; each round spends its selected nodes' summed cost; and
+    event_detect_round is what _detect_events finds in the rounds."""
     n = run.n_nodes
     for name in ("zone_of", "final_battery", "activation_counts", "death_round",
                  "final_utilities", "final_ucb_means"):
@@ -838,12 +851,38 @@ def _check_consistent(run: RunResult, n_zones: int, rounds: list) -> None:
         raise ValueError(f"round {t} selects a node outside 0..{n - 1}")
     if run.total_spent != reduce(add, run.spent.tolist(), 0.0):
         raise ValueError("total_spent is not the sum of the rounds' spent")
+    capacity = run.config["battery_capacity"]
     for name, want in (("activation_counts", np.bincount(run.selected, minlength=n)),
-                       ("final_battery", _charge_left(run.activation_counts, run.energy_cost,
-                                                      run.config["battery_capacity"]))):
+                       ("final_battery", _charge_left(run.activation_counts, run.energy_cost, capacity))):
         wrong = np.flatnonzero(getattr(run, name) != want)
         if wrong.size:
             raise ValueError(f"{name} of node {wrong[0]} disagrees with the rounds' selections")
+
+    # a node with count activations could fund the last one only if it could
+    # fund another after count - 1
+    over = np.flatnonzero((run.activation_counts > 0)
+                          & _cannot_fund(run.activation_counts - 1, run.energy_cost, capacity))
+    if over.size:
+        raise ValueError(f"node {over[0]} is selected {run.activation_counts[over[0]]} times, "
+                         f"more than its battery funds")
+    last = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(last, run.selected, np.repeat(np.arange(run.n_rounds), run.n_selected))
+    dead = _cannot_fund(run.activation_counts, run.energy_cost, capacity)
+    wrong = np.flatnonzero(run.death_round != np.where(dead, last, -1))
+    if wrong.size:
+        raise ValueError(f"death_round of node {wrong[0]} disagrees with the rounds' selections")
+    # the float each loop writes: the selection's costs summed in one call
+    costs = run.energy_cost[run.selected]
+    starts = _round_starts(run.n_selected)
+    for t, (a, b, spent) in enumerate(zip(starts, starts[1:], run.spent.tolist())):
+        want = float(costs[a:b].sum()) if b > a else 0.0
+        if spent != want:
+            raise ValueError(f"round {t} has spent {spent!r}, its selected nodes cost {want!r}")
+    _, detect_round = _detect_events(run.selected, run.feedback, run.n_selected, run.zone_of, run.events,
+                                     n_zones, run.config["detect_threshold"])
+    for idx, (got, want) in enumerate(zip(run.event_detect_round, detect_round)):
+        if got != want:
+            raise ValueError(f"event {idx} has event_detect_round {got}, the rounds' feedback gives {want}")
 
 
 def write_round_log_csv(run: RunResult, path: str) -> None:

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from edgesense import cli, engine, trace
+from edgesense import cli, engine, metrics, trace
 from edgesense.core import SimConfig
 from edgesense.policy import POLICY_ORDER, WIDE_FLEET
 
@@ -38,6 +38,40 @@ def test_every_traced_target_resolves_to_a_callable(bench):
     missing = [f"{owner}.{attr}" for _, owner, attr in layers.TARGETS
                if not callable(getattr(layers._resolve(owner), attr, None))]
     assert missing == []
+
+
+def test_every_traced_target_is_called_where_it_is_looked_up(bench, monkeypatch, capsys, tmp_path):
+    # a target that still resolves but is no longer called through its owner
+    # leaves its layer `absent`; count each target's calls over one small
+    # pass that takes the routes perfbench takes
+    calls = dict.fromkeys([(owner, attr) for _, owner, attr in bench.layers.TARGETS], 0)
+    for owner_path, attr in calls:
+        owner = bench.layers._resolve(owner_path)
+
+        def counting(*args, _fn=getattr(owner, attr), _key=(owner_path, attr), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    cfg = SimConfig(n_zones=2, nodes_per_zone=3, rounds=96, round_minutes=15)
+    paths = {name: str(tmp_path / name) for name in ("hourly.csv", "events.csv", "run.json", "rounds.csv")}
+    trace.write_csv(trace.generate_synthetic(cfg, rng_seed=1), paths["hourly.csv"])
+    trace.write_events_csv(trace.draw_events(cfg.rounds, cfg.n_zones, cfg.rounds_per_day, rng_seed=1),
+                           paths["events.csv"])
+    traces = trace.build_round_trace(cfg, trace.load_csv(paths["hourly.csv"], expected_zones=cfg.n_zones),
+                                     trace.load_events_csv(paths["events.csv"]))
+    comp = cli.run_comparison(cfg, traces, POLICY_ORDER, [1])
+    run = engine.run_simulation(cfg, traces, "adaptive", seed=1)
+    engine.save_run(run, paths["run.json"])
+    engine.load_run(paths["run.json"])
+    engine.write_round_log_csv(run, paths["rounds.csv"])
+    for render in (metrics.render_text, metrics.render_json, metrics.render_summary_csv,
+                   metrics.render_per_seed_csv, metrics.render_plot_csv):
+        render(comp)
+    assert cli.main(["report", "--in", paths["run.json"], "--format", "json"]) == 0
+    capsys.readouterr()
+    assert [f"{owner}.{attr}" for (owner, attr), n in calls.items() if n == 0] == []
 
 
 @pytest.mark.parametrize("name", ["desk", "city", "replay"])

@@ -7,8 +7,10 @@ so it can try many settings in a few seconds.
 """
 
 import contextlib
+import functools
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -55,10 +57,13 @@ def cfg_file(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def artifacts(cfg_file, tmp_path_factory):
-    """One compare directory and one run record, built once and reused."""
+    """One compare directory and two run records, built once and reused:
+    run_json, whose nodes all live, and drained_json, a 3-day run on a
+    150 mAh battery in which five of its six nodes die."""
     base = tmp_path_factory.mktemp("artifacts")
     cmp_dir = base / "cmp"
     run_json = base / "run.json"
+    drained_json = base / "drained.json"
     round_log = base / "rounds.csv"
     compare_argv = (
         "compare", "--config", cfg_file, "--synthetic",
@@ -69,6 +74,12 @@ def artifacts(cfg_file, tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     proc = run_cli(
         "run", "--config", cfg_file, "--synthetic", "--policy", "adaptive",
+        "--seed", "1", "--set", "rounds=300", "--set", "battery_capacity=150",
+        "--out", str(drained_json),
+    )
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(
+        "run", "--config", cfg_file, "--synthetic", "--policy", "adaptive",
         "--seed", "3", "--out", str(run_json), "--round-log", str(round_log),
     )
     assert proc.returncode == 0, proc.stderr
@@ -76,6 +87,7 @@ def artifacts(cfg_file, tmp_path_factory):
         "cmp_dir": str(cmp_dir),
         "compare_argv": compare_argv,
         "run_json": str(run_json),
+        "drained_json": str(drained_json),
         "round_log": str(round_log),
         "run_stdout": proc.stdout,
     }
@@ -84,6 +96,35 @@ def artifacts(cfg_file, tmp_path_factory):
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _drained(edit):
+    """Mark a case of test_inconsistent_run_record_exits_two as an edit of
+    the drained record rather than of the run record."""
+    edit.record = "drained_json"
+    return edit
+
+
+def _double_spent(record):
+    """Double every round's spend and re-add total_spent left to right, as
+    the engine adds it."""
+    for r in record["rounds"]:
+        r["spent"] *= 2
+    record["total_spent"] = functools.reduce(operator.add, (r["spent"] for r in record["rounds"]), 0.0)
+
+
+def _clear_detections(record):
+    """Mark every event undetected, consistently across flags, rounds and
+    each round's detected list."""
+    record.update(event_detected=[False] * len(record["events"]), event_detect_round=[-1] * len(record["events"]))
+    for r in record["rounds"]:
+        r["detected"] = []
+
+
+def _shrink_battery(record, capacity):
+    """Lower the battery capacity and rewrite final_battery to agree with it."""
+    record["config"]["battery_capacity"] = capacity
+    record["final_battery"] = [capacity - k * c for k, c in zip(record["activation_counts"], record["energy_cost"])]
 
 
 def _write_world(cfg_file, tmp_path, zone_ids=(0, 1), events=(), edit=None):
@@ -333,15 +374,37 @@ class TestReport:
         (lambda r: r.update(activation_counts=[0] * 6),
          "activation_counts of node 0 disagrees with the rounds' selections"),
         (lambda r: r.update(final_battery=[1.0] * 6), "final_battery of node 0 disagrees with the rounds' selections"),
+        (_drained(lambda r: r.update(death_round=[10 ** 6] * 6)),
+         "death_round of node 0 disagrees with the rounds' selections"),
+        (_drained(lambda r: r.update(death_round=[-1] * 6)), "death_round of node 0 disagrees with the rounds' selections"),
+        (_drained(lambda r: _shrink_battery(r, 100.0)), "node 0 is selected 181 times, more than its battery funds"),
+        (_drained(_double_spent), "round 0 has spent 7.828038305577554, its selected nodes cost 3.914019152788777"),
+        (_drained(_clear_detections), "event 0 has event_detect_round -1, the rounds' feedback gives 95"),
+        (_drained(lambda r: r.update(energy_cost=[repr(c) for c in r["energy_cost"]])),
+         "energy_cost of node 0 is '0.8251511510959112', which is not a number"),
+        (_drained(lambda r: r["zone_of"].__setitem__(5, 1.5)), "zone_of of node 5 is 1.5, which is not an int"),
+        (_drained(lambda r: r["zone_of"].__setitem__(0, False)), "zone_of of node 0 is False, which is not an int"),
+        (_drained(lambda r: r["activation_counts"].__setitem__(1, 86.0)),
+         "activation_counts of node 1 is 86.0, which is not an int"),
+        (_drained(lambda r: r["death_round"].__setitem__(4, True)), "death_round of node 4 is True, which is not an int"),
+        (_drained(lambda r: r["final_battery"].__setitem__(3, None)),
+         "final_battery of node 3 is None, which is not a number"),
+        (_drained(lambda r: r["final_utilities"].__setitem__(2, "0.5")),
+         "final_utilities of node 2 is '0.5', which is not a number"),
+        (_drained(lambda r: r["final_ucb_means"].__setitem__(4, True)),
+         "final_ucb_means of node 4 is True, which is not a number"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
             "detect-round-outside-window", "round-misnumbered", "round-lists-an-undetected-event",
             "round-drops-its-detection", "node-id-float", "node-id-bool", "node-id-past-int64",
             "feedback-string", "feedback-bool", "spent-string", "spent-bool", "budget-null", "mean-reward-list",
-            "total-spent-inflated", "activation-counts-zero", "final-battery-full"])
+            "total-spent-inflated", "activation-counts-zero", "final-battery-full",
+            "death-rounds-past-the-run", "deaths-hidden", "over-drawn", "spent-doubled", "detections-cleared",
+            "energy-cost-strings", "zone-of-float", "zone-of-bool", "activation-count-float", "death-round-bool",
+            "final-battery-null", "final-utility-string", "final-ucb-mean-bool"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
-        record = json.loads(_read(artifacts["run_json"]))
+        record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
         n_selected = len(record["rounds"][0]["selected"])
         assert n_selected > 0
         edit(record)
