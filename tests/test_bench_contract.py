@@ -40,7 +40,7 @@ def test_every_traced_target_resolves_to_a_callable(bench):
     assert missing == []
 
 
-def test_every_traced_target_is_called_where_it_is_looked_up(bench, monkeypatch, capsys, tmp_path):
+def test_every_traced_target_is_called_where_it_is_looked_up(bench, monkeypatch, tmp_path):
     # a target that still resolves but is no longer called through its owner
     # leaves its layer `absent`; count each target's calls over one small
     # pass that takes the routes perfbench takes
@@ -70,7 +70,6 @@ def test_every_traced_target_is_called_where_it_is_looked_up(bench, monkeypatch,
                    metrics.render_per_seed_csv, metrics.render_plot_csv):
         render(comp)
     assert cli.main(["report", "--in", paths["run.json"], "--format", "json"]) == 0
-    capsys.readouterr()
     assert [f"{owner}.{attr}" for (owner, attr), n in calls.items() if n == 0] == []
 
 
