@@ -281,13 +281,12 @@ def _cmd_report(args) -> int:
                 out = metrics.render_text(metrics.from_json_dict(d))
         elif fmt == engine.RUN_FORMAT:
             run = engine.run_from_dict(d)
-            m = metrics.compute_run_metrics(run)
             if args.format == "json":
                 out = stable_json(metrics.to_json_dict(metrics.compare([run])))
             elif args.format == "csv":
                 out = metrics.render_per_seed_csv(metrics.compare([run]))
             else:
-                out = _run_metrics_text(m) + "\n"
+                out = _run_metrics_text(metrics.compute_run_metrics(run)) + "\n"
         else:
             raise ValueError(f"unrecognized format {fmt!r}")
     except KeyError as exc:

@@ -266,14 +266,18 @@ class Fleet:
         return len(self.energy_cost)
 
 
+def fleet_zones(cfg: SimConfig) -> np.ndarray:
+    """Each node's zone: nodes_per_zone nodes to a zone, in zone order (int32)."""
+    return np.repeat(np.arange(cfg.n_zones, dtype=np.int32), cfg.nodes_per_zone)
+
+
 def build_fleet(cfg: SimConfig, seed: int | None = None) -> Fleet:
     """Draw per-node energy costs uniformly from cfg.energy_cost_range."""
     seed = cfg.seed if seed is None else seed
     rng = stream(seed, STREAM_FLEET)
     lo, hi = cfg.energy_cost_range
     costs = rng.uniform(lo, hi, size=cfg.n_nodes)
-    zone_of = np.repeat(np.arange(cfg.n_zones, dtype=np.int32), cfg.nodes_per_zone)
-    return Fleet(zone_id=zone_of, energy_cost=costs)
+    return Fleet(zone_id=fleet_zones(cfg), energy_cost=costs)
 
 
 # --- deterministic random streams ------------------------------------------

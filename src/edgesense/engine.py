@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial, reduce
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import add
 
 import numpy as np
@@ -32,6 +32,7 @@ from .core import (
     Pollutant,
     SimConfig,
     build_fleet,
+    fleet_zones,
     require_valid,
     stream,
 )
@@ -433,13 +434,13 @@ def _charge_left(pulls, costs, capacity):
 
 
 class _RunState:
-    """What a run carries from round to round: per node, activations, deaths
-    and what the policy has learned; the budget tallies. A node dies once it
-    cannot fund its next activation (_cannot_fund); only activations change
-    that, so the candidates (the fundable nodes) change only when a node
-    dies. A caller that knows no node can die (survive) may add activations
-    to pulls itself; activate charges one round and records the deaths it
-    causes."""
+    """What a run carries from round to round: per node, activations,
+    fundability and what the policy has learned; the worst budget overspend.
+    A node dies once it cannot fund its next activation (_cannot_fund); only
+    activations change that, so the candidates (the fundable nodes) change
+    only when a node dies. A caller that knows no node can die (survive) may
+    add activations to pulls itself; activate charges one round and drops
+    the nodes it kills from the candidates."""
 
     def __init__(self, costs: np.ndarray, capacity: float):
         n = costs.size
@@ -447,7 +448,6 @@ class _RunState:
         self.capacity = capacity
         self.pulls = np.zeros(n, dtype=np.int64)
         self.fundable = ~_cannot_fund(self.pulls, costs, capacity)
-        self.death_round = np.full(n, -1, dtype=np.int64)
         self._node_ids = np.arange(n, dtype=np.int64)
         # a static block holds cand_ids itself as each round's selection, so
         # it is replaced, never written to
@@ -455,17 +455,15 @@ class _RunState:
         self.utilities = np.full(n, INITIAL_UTILITY)  # adaptive: EMA utility, in [0, 1]
         self.ucb_means = np.zeros(n)                  # bandit: mean normalized payoff
         self.max_violation = 0.0
-        self.n_budgeted = 0
 
-    def activate(self, sel: np.ndarray, sel_costs: np.ndarray, t: int) -> np.ndarray:
-        """Charge round t's selection, every node of it fundable, and return
+    def activate(self, sel: np.ndarray, sel_costs: np.ndarray) -> np.ndarray:
+        """Charge a round's selection, every node of it fundable, and return
         the selected nodes' activation counts, this round's included."""
         sel_pulls = self.pulls[sel] + 1
         self.pulls[sel] = sel_pulls
         newly_dead = sel[_cannot_fund(sel_pulls, sel_costs, self.capacity)]
         if newly_dead.size:
             self.fundable[newly_dead] = False
-            self.death_round[newly_dead] = t
             self.cand_ids = self._node_ids[self.fundable]
         return sel_pulls
 
@@ -566,36 +564,56 @@ def run_simulation(
             _run_fixed(cfg, policy_kind, read, block, state, obs, record)
         else:
             _run_rounds(cfg, policy_kind, read, state, obs, record)
-    columns = record.columns()
-    detected, detect_round = _detect_events(columns["selected"], columns["feedback"], columns["n_selected"],
-                                            zone_of, events, cfg.n_zones, cfg.detect_threshold)
+    columns = record.columns()  # shrinks the record before content_hash copies the trace values
+    return _build_run(cfg, policy_kind, seed, traces.content_hash(), events, columns, costs, zone_of,
+                      state.pulls, state.utilities, state.ucb_means, state.max_violation)
 
+
+def _build_run(cfg: SimConfig, policy_kind: PolicyKind, seed: int, trace_hash: str, events: list[EventSpec],
+               columns: dict, energy_cost: np.ndarray, zone_of: np.ndarray, activation_counts: np.ndarray,
+               final_utilities: np.ndarray, final_ucb_means: np.ndarray, max_budget_violation: float) -> RunResult:
+    """The one way a RunResult is built, by run_simulation and by the loader:
+    from the run's inputs, its round columns (_Record.columns), its
+    activation counts, its learner state and its worst budget overspend.
+    Derives the rest: each node's remaining charge and its death round (that
+    of its last activation if the battery rule says it cannot fund another,
+    else -1), the total spend, the budgeted cluster selections and the event
+    detections."""
+    selected, n_selected = columns["selected"], columns["n_selected"]
+    death_round = np.full(len(energy_cost), -1, dtype=np.int64)
+    dead = _cannot_fund(activation_counts, energy_cost, cfg.battery_capacity)
+    if dead.any():
+        rows = np.flatnonzero(dead[selected])
+        np.maximum.at(death_round, selected[rows], np.searchsorted(np.cumsum(n_selected), rows, side="right"))
+    detected, detect_round = _detect_events(selected, columns["feedback"], n_selected, zone_of, events,
+                                            cfg.n_zones, cfg.detect_threshold)
+    budgeted = policy_kind in (PolicyKind.UCB, PolicyKind.ADAPTIVE)
     return RunResult(
         config=cfg.to_dict(),
         policy=policy_kind.value,
         seed=seed,
-        trace_hash=traces.content_hash(),
+        trace_hash=trace_hash,
         **columns,
-        energy_cost=costs,
+        energy_cost=energy_cost,
         zone_of=zone_of,
-        final_battery=_charge_left(state.pulls, costs, state.capacity),
-        activation_counts=state.pulls,
-        death_round=state.death_round,
+        final_battery=_charge_left(activation_counts, energy_cost, cfg.battery_capacity),
+        activation_counts=activation_counts,
+        death_round=death_round,
         events=events,
         event_detected=detected,
         event_detect_round=detect_round,
-        total_spent=reduce(add, record.spent, 0.0),  # left to right, like a round's budget in _run_rounds
-        max_budget_violation=max(0.0, state.max_violation),
-        n_budgeted_selections=state.n_budgeted,
-        final_utilities=state.utilities,
-        final_ucb_means=state.ucb_means,
+        total_spent=reduce(add, columns["spent"].tolist(), 0.0),  # left to right, like a round's budget in _run_rounds
+        max_budget_violation=max_budget_violation,
+        # a budgeted policy selects once per cluster a round: a zone, or the whole fleet
+        n_budgeted_selections=cfg.rounds * (cfg.n_zones if cfg.hierarchy else 1) if budgeted else 0,
+        final_utilities=final_utilities,
+        final_ucb_means=final_ucb_means,
     )
 
 
 def _run_rounds(cfg, policy_kind, read, state, obs, record):
     """run_simulation's round loop for ucb and adaptive. Writes each round
-    to record and leaves the worst budget overspend and the number of
-    budgeted cluster selections in state."""
+    to record and leaves the worst budget overspend in state."""
     costs = state.costs
     max_energy = float(costs.max())
     global_budget = cfg.budget_fraction * float(costs.sum())
@@ -634,7 +652,7 @@ def _run_rounds(cfg, policy_kind, read, state, obs, record):
 
         sel_costs = costs[sel]
         spent = float(sel_costs.sum()) if sel.size else 0.0
-        sel_pulls = state.activate(sel, sel_costs, t)
+        sel_pulls = state.activate(sel, sel_costs)
 
         feedback = read(t, 1, sel, obs.unseen, window)
 
@@ -653,7 +671,6 @@ def _run_rounds(cfg, policy_kind, read, state, obs, record):
         # adds pairwise, and sum() compensates from Python 3.12 on
         record.write(sel, feedback, [sel.size], [spent], [reduce(add, budgets, 0.0)], [mean_reward])
     state.max_violation = max_violation
-    state.n_budgeted = cfg.rounds * (cfg.n_zones if cfg.hierarchy else 1)  # a selection per cluster a round
 
 
 def _run_fixed(cfg, policy_kind, read, block, state, obs, record):
@@ -676,7 +693,7 @@ def _run_fixed(cfg, policy_kind, read, block, state, obs, record):
             else:
                 sel = select_periodic(state.cand_ids, t, cfg.periodic_period, cfg.periodic_duty)
             if not charge_once:
-                state.activate(sel, costs[sel], t)
+                state.activate(sel, costs[sel])
             sels.append(sel)
 
         # the block's node ids in round order, and their (round, node) positions
@@ -744,145 +761,113 @@ def load_run(path: str) -> RunResult:
 
 
 def run_from_dict(d: dict) -> RunResult:
-    """Rebuild a RunResult from a parsed record of format RUN_FORMAT. A
-    record written before the final learner state was saved loads with the
-    run-start state. A record whose parts contradict each other raises
-    ValueError."""
-    n = len(d["energy_cost"])
-    n_zones = d["config"]["n_zones"]
+    """Rebuild a RunResult from a parsed record of format RUN_FORMAT: check
+    the record's types, structure and config, build its inputs into a run
+    as run_simulation does (_build_run), and require every derived field it
+    stores to equal the rebuilt run's. A record written before the final
+    learner state was saved loads with the run-start state. A record that
+    contradicts itself or its config raises ValueError."""
+    nodes = {key: d[key] for key in ("energy_cost", "zone_of", "activation_counts", "death_round", "final_battery")}
+    nodes.update((key, d[key]) for key in ("final_utilities", "final_ucb_means") if key in d)
+    # JSON numbers load as ints and floats; numpy would take strings and bools too
+    ints = ("zone_of", "activation_counts", "death_round")
+    for key, values in nodes.items():
+        types, kind = ({int}, "an int") if key in ints else ({int, float}, "a number")
+        if not set(map(type, values)) <= types:
+            node, value = next((i, v) for i, v in enumerate(values) if type(v) not in types)
+            raise ValueError(f"{key} of node {node} is {value!r}, which is not {kind}")
+    config = d["config"]
+    cfg = require_valid(SimConfig(**{f.name: config[f.name] for f in fields(SimConfig)}))
+    if len(config) != len(fields(SimConfig)):
+        raise ValueError(f"config has keys SimConfig does not know: {sorted(set(config) - set(cfg.to_dict()))}")
+    policy_kind = PolicyKind.from_name(d["policy"])
+    n = cfg.n_nodes
+    zone_of = fleet_zones(cfg).astype(np.int64)
+    if not np.array_equal(nodes["zone_of"], zone_of):
+        raise ValueError(f"zone_of is not the layout of the config's {cfg.n_zones} zones of {cfg.nodes_per_zone} nodes")
+    for key, values in nodes.items():
+        if len(values) != n:
+            raise ValueError(f"{key} has {len(values)} entries, the config has {n} nodes")
+    costs = np.asarray(nodes["energy_cost"], dtype=np.float64)
+    lo, hi = cfg.energy_cost_range
+    outside = np.flatnonzero(~((lo <= costs) & (costs <= hi)))
+    if outside.size:
+        raise ValueError(f"energy_cost of node {outside[0]} is {nodes['energy_cost'][outside[0]]!r}, "
+                         f"outside energy_cost_range [{lo}, {hi}]")
+
     rounds = d["rounds"]
+    if len(rounds) != cfg.rounds:
+        raise ValueError(f"config.rounds is {cfg.rounds}, the record has {len(rounds)} rounds")
     ids = list(chain.from_iterable(r["selected"] for r in rounds))
     if not set(map(type, ids)) <= {int}:
         t, value = next((t, i) for t, r in enumerate(rounds) for i in r["selected"] if type(i) is not int)
         raise ValueError(f"round {t} selects {value!r}, which is not a node id")
-    # JSON numbers load as ints and floats; numpy would take strings and bools too
     feedback = list(chain.from_iterable(r["feedback"] for r in rounds))
     per_round = {key: [r[key] for r in rounds] for key in ("spent", "budget", "mean_reward")}
     if not set(map(type, chain(feedback, *per_round.values()))) <= {int, float}:
         t, key, value = next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", *per_round)
                              for v in (r[k] if k == "feedback" else [r[k]]) if type(v) not in (int, float))
         raise ValueError(f"round {t} has {key} {value!r}, which is not a number")
-    for key, types, kind in (("zone_of", {int}, "an int"), ("activation_counts", {int}, "an int"),
-                             ("death_round", {int}, "an int"), ("energy_cost", {int, float}, "a number"),
-                             ("final_battery", {int, float}, "a number"),
-                             ("final_utilities", {int, float}, "a number"),
-                             ("final_ucb_means", {int, float}, "a number")):
-        values = d.get(key, ())  # a record may lack the learner state
-        if not set(map(type, values)) <= types:
-            node, value = next((i, v) for i, v in enumerate(values) if type(v) not in types)
-            raise ValueError(f"{key} of node {node} is {value!r}, which is not {kind}")
-    events = [
-        EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]), e["magnitude"])
-        for e in d["events"]
-    ]
-    run = RunResult(
-        config=d["config"],
-        policy=d["policy"],
-        seed=d["seed"],
-        trace_hash=d["trace_hash"],
-        selected=np.fromiter(ids, dtype=np.int64, count=len(ids)),
-        feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
-        n_selected=np.array([len(r["selected"]) for r in rounds], dtype=np.int64),
-        **{key: np.array(values, dtype=np.float64) for key, values in per_round.items()},
-        energy_cost=np.asarray(d["energy_cost"], dtype=np.float64),
-        zone_of=np.asarray(d["zone_of"], dtype=np.int64),
-        final_battery=np.asarray(d["final_battery"], dtype=np.float64),
-        activation_counts=np.asarray(d["activation_counts"], dtype=np.int64),
-        death_round=np.asarray(d["death_round"], dtype=np.int64),
-        events=events,
-        event_detected=list(d["event_detected"]),
-        event_detect_round=list(d["event_detect_round"]),
-        total_spent=d["total_spent"],
-        max_budget_violation=d["max_budget_violation"],
-        n_budgeted_selections=d["n_budgeted_selections"],
-        final_utilities=np.asarray(d.get("final_utilities", [INITIAL_UTILITY] * n), dtype=np.float64),
-        final_ucb_means=np.asarray(d.get("final_ucb_means", [0.0] * n), dtype=np.float64),
-    )
-    _check_consistent(run, n_zones, rounds)
-    run.selected = run.selected.astype(np.int32)  # each id names a node, so the cast keeps it
-    return run
-
-
-def _check_consistent(run: RunResult, n_zones: int, rounds: list) -> None:
-    """Raise ValueError unless a loaded run agrees with itself and with the
-    record's rounds: the per-node arrays agree in length; zone ids (of nodes
-    and of events) name one of the n_zones zones; there is one detection flag
-    and round per event, and each flag agrees with its round, which lies in the
-    event's window; every round is numbered by its position, has one feedback
-    value per selection and lists the events that event_detect_round says it
-    first detected; every selected id names a node; total_spent adds the
-    rounds' spends left to right; activation_counts and final_battery follow
-    from the selections. Then what the run derives from its rounds: no node
-    is selected past what its battery funds; death_round is the round of a
-    node's last activation if the battery rule says it cannot fund another,
-    else -1; each round spends its selected nodes' summed cost; and
-    event_detect_round is what _detect_events finds in the rounds."""
-    n = run.n_nodes
-    for name in ("zone_of", "final_battery", "activation_counts", "death_round",
-                 "final_utilities", "final_ucb_means"):
-        if len(getattr(run, name)) != n:
-            raise ValueError(f"{name} has {len(getattr(run, name))} entries, energy_cost has {n}")
-    if n and not 0 <= run.zone_of.min() <= run.zone_of.max() < n_zones:
-        raise ValueError(f"zone_of names a zone outside 0..{n_zones - 1}")
-    for ev in run.events:
-        if not 0 <= ev.zone_id < n_zones:
-            raise ValueError(f"an event names zone {ev.zone_id}, outside 0..{n_zones - 1}")
-    for name in ("event_detected", "event_detect_round"):
-        if len(getattr(run, name)) != len(run.events):
-            raise ValueError(f"{name} has {len(getattr(run, name))} entries, events has {len(run.events)}")
-    for idx, (ev, flag, t) in enumerate(zip(run.events, run.event_detected, run.event_detect_round)):
-        if flag != (t >= 0):
-            raise ValueError(f"event {idx} has event_detected {flag!r} but event_detect_round {t}")
-        if flag and not ev.start_round <= t < min(ev.end_round, run.n_rounds):
-            raise ValueError(f"event {idx} is detected in round {t}, outside its window")
-    detected = _detections_by_round(run.event_detect_round)
     for t, r in enumerate(rounds):
         if r["round"] != t:
             raise ValueError(f"round {t} is numbered {r['round']!r}")
         if len(r["feedback"]) != len(r["selected"]):
             raise ValueError(f"round {t} has {len(r['feedback'])} feedback values "
                              f"for {len(r['selected'])} selected nodes")
+    selected = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    n_selected = np.array([len(r["selected"]) for r in rounds], dtype=np.int64)
+    outside = np.flatnonzero((selected < 0) | (selected >= n))
+    if outside.size:
+        t = int(np.searchsorted(np.cumsum(n_selected), outside[0], side="right"))
+        raise ValueError(f"round {t} selects a node outside 0..{n - 1}")
+    selected = selected.astype(np.int32)  # each id names a node, so the cast keeps it
+    counts = np.bincount(selected, minlength=n)
+    # a node with count activations could fund the last one only if it could
+    # fund another after count - 1
+    over = np.flatnonzero((counts > 0) & _cannot_fund(counts - 1, costs, cfg.battery_capacity))
+    if over.size:
+        raise ValueError(f"node {over[0]} is selected {counts[over[0]]} times, more than its battery funds")
+    events = [
+        EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]), e["magnitude"])
+        for e in d["events"]
+    ]
+    for ev in events:
+        if not 0 <= ev.zone_id < cfg.n_zones:
+            raise ValueError(f"an event names zone {ev.zone_id}, outside 0..{cfg.n_zones - 1}")
+
+    columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
+                   n_selected=n_selected,
+                   **{key: np.array(values, dtype=np.float64) for key, values in per_round.items()})
+    utilities, ucb_means = (np.asarray(nodes.get(key, [start] * n), dtype=np.float64)
+                            for key, start in (("final_utilities", INITIAL_UTILITY), ("final_ucb_means", 0.0)))
+    run = _build_run(cfg, policy_kind, d["seed"], d["trace_hash"], events, columns, costs, zone_of, counts,
+                     utilities, ucb_means, d["max_budget_violation"])
+
+    for key in ("activation_counts", "final_battery", "death_round"):
+        wrong = np.flatnonzero(np.asarray(nodes[key]) != getattr(run, key))
+        if wrong.size:
+            raise ValueError(f"{key} of node {wrong[0]} disagrees with the rounds' selections")
+    if d["total_spent"] != run.total_spent:
+        raise ValueError("total_spent is not the sum of the rounds' spent")
+    if d["n_budgeted_selections"] != run.n_budgeted_selections:
+        raise ValueError(f"n_budgeted_selections is {d['n_budgeted_selections']!r}, "
+                         f"the policy and config give {run.n_budgeted_selections}")
+    for key in ("event_detect_round", "event_detected"):
+        for idx, (got, want) in enumerate(zip_longest(d[key], getattr(run, key))):
+            if got != want:
+                raise ValueError(f"event {idx} has {key} {got!r}, the rounds' feedback gives {want!r}")
+    # the float each loop writes: the selection's costs summed in one call
+    sel_costs = costs[run.selected]
+    starts = _round_starts(n_selected)
+    detected = _detections_by_round(run.event_detect_round)
+    for t, (r, a, b, spent) in enumerate(zip(rounds, starts, starts[1:], run.spent.tolist())):
+        want = float(sel_costs[a:b].sum()) if b > a else 0.0
+        if spent != want:
+            raise ValueError(f"round {t} has spent {spent!r}, its selected nodes cost {want!r}")
         if r["detected"] != list(detected.get(t, ())):
             raise ValueError(f"round {t} lists detected events {r['detected']}, "
                              f"event_detect_round gives {list(detected.get(t, ()))}")
-    outside = np.flatnonzero((run.selected < 0) | (run.selected >= n))
-    if outside.size:
-        t = int(np.searchsorted(np.cumsum(run.n_selected), outside[0], side="right"))
-        raise ValueError(f"round {t} selects a node outside 0..{n - 1}")
-    if run.total_spent != reduce(add, run.spent.tolist(), 0.0):
-        raise ValueError("total_spent is not the sum of the rounds' spent")
-    capacity = run.config["battery_capacity"]
-    for name, want in (("activation_counts", np.bincount(run.selected, minlength=n)),
-                       ("final_battery", _charge_left(run.activation_counts, run.energy_cost, capacity))):
-        wrong = np.flatnonzero(getattr(run, name) != want)
-        if wrong.size:
-            raise ValueError(f"{name} of node {wrong[0]} disagrees with the rounds' selections")
-
-    # a node with count activations could fund the last one only if it could
-    # fund another after count - 1
-    over = np.flatnonzero((run.activation_counts > 0)
-                          & _cannot_fund(run.activation_counts - 1, run.energy_cost, capacity))
-    if over.size:
-        raise ValueError(f"node {over[0]} is selected {run.activation_counts[over[0]]} times, "
-                         f"more than its battery funds")
-    last = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(last, run.selected, np.repeat(np.arange(run.n_rounds), run.n_selected))
-    dead = _cannot_fund(run.activation_counts, run.energy_cost, capacity)
-    wrong = np.flatnonzero(run.death_round != np.where(dead, last, -1))
-    if wrong.size:
-        raise ValueError(f"death_round of node {wrong[0]} disagrees with the rounds' selections")
-    # the float each loop writes: the selection's costs summed in one call
-    costs = run.energy_cost[run.selected]
-    starts = _round_starts(run.n_selected)
-    for t, (a, b, spent) in enumerate(zip(starts, starts[1:], run.spent.tolist())):
-        want = float(costs[a:b].sum()) if b > a else 0.0
-        if spent != want:
-            raise ValueError(f"round {t} has spent {spent!r}, its selected nodes cost {want!r}")
-    _, detect_round = _detect_events(run.selected, run.feedback, run.n_selected, run.zone_of, run.events,
-                                     n_zones, run.config["detect_threshold"])
-    for idx, (got, want) in enumerate(zip(run.event_detect_round, detect_round)):
-        if got != want:
-            raise ValueError(f"event {idx} has event_detect_round {got}, the rounds' feedback gives {want}")
+    return run
 
 
 def write_round_log_csv(run: RunResult, path: str) -> None:

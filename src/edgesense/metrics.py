@@ -39,12 +39,6 @@ def percent_change(value: float, baseline: float) -> float:
     return (value - baseline) / baseline * 100.0
 
 
-def avg_daily_energy(run: RunResult) -> float:
-    """Mean energy spend in mAh per node per day. Dead nodes keep counting
-    in the denominator."""
-    return compute_run_metrics(run).avg_daily_energy
-
-
 @dataclass
 class RunMetrics:
     """Headline metrics for one simulated run."""
@@ -55,7 +49,7 @@ class RunMetrics:
     days: float
     n_nodes: int
     total_spent: float
-    avg_daily_energy: float       # mAh per node per day
+    avg_daily_energy: float       # mAh per node per day, dead nodes counted
     n_events: int
     n_detected: int
     detection_rate: float | None  # None when the trace carried no events

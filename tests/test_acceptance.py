@@ -233,7 +233,7 @@ def test_10_full_scale_fits_time_and_memory(capsys):
     runs = [run_simulation(cfg, traces, kind, seed=1) for kind in POLICY_ORDER]
     elapsed = time.perf_counter() - t0
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # kilobytes on Linux
-    energies = [metrics.avg_daily_energy(r) for r in runs]
+    energies = [metrics.compute_run_metrics(r).avg_daily_energy for r in runs]
     ordered = all(a > b for a, b in zip(energies, energies[1:]))
     ok = elapsed < 60.0 and peak_kb < 1024 * 1024 and ordered
     _emit(capsys, 10, ok,

@@ -336,9 +336,9 @@ class TestReport:
         ]
 
     @pytest.mark.parametrize("edit, problem", [
-        (lambda r: r.update(zone_of=[]), "zone_of has 0 entries, energy_cost has 6"),
-        (lambda r: r["energy_cost"].pop(), "zone_of has 6 entries, energy_cost has 5"),
-        (lambda r: r["zone_of"].__setitem__(5, 2), "zone_of names a zone outside 0..1"),
+        (lambda r: r.update(zone_of=[]), "zone_of is not the layout of the config's 2 zones of 3 nodes"),
+        (lambda r: r["energy_cost"].pop(), "energy_cost has 5 entries, the config has 6 nodes"),
+        (lambda r: r["zone_of"].__setitem__(5, 2), "zone_of is not the layout of the config's 2 zones of 3 nodes"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1000000), "round 0 selects a node outside 0..5"),
         (lambda r: r["rounds"][0]["feedback"].pop(), "round 0 has {} feedback values for {} selected nodes"),
         (lambda r: r["events"].append({"zone_id": 2, "start_round": 0, "end_round": 4,
@@ -347,13 +347,15 @@ class TestReport:
         (lambda r: r["events"].append({"zone_id": 0, "start_round": -5, "end_round": 3,
                                        "pollutant": "PM25", "magnitude": 4.0}),
          "event start_round must be >= 0, got -5"),
-        (lambda r: r.update(event_detected=[True] * 21), "event_detected has 21 entries, events has 2"),
-        (lambda r: r["event_detect_round"].pop(), "event_detect_round has 1 entries, events has 2"),
+        (lambda r: r.update(event_detected=[True] * 21),
+         "event 2 has event_detected True, the rounds' feedback gives None"),
+        (lambda r: r["event_detect_round"].pop(), "event 1 has event_detect_round None, the rounds' feedback gives 85"),
         (lambda r: r.update(event_detected=[False, False]),
-         "event 0 has event_detected False but event_detect_round 36"),
+         "event 0 has event_detected False, the rounds' feedback gives True"),
         (lambda r: r.update(event_detected=[True, True], event_detect_round=[36, -1]),
-         "event 1 has event_detected True but event_detect_round -1"),
-        (lambda r: r["event_detect_round"].__setitem__(0, 0), "event 0 is detected in round 0, outside its window"),
+         "event 1 has event_detect_round -1, the rounds' feedback gives 85"),
+        (lambda r: r["event_detect_round"].__setitem__(0, 0),
+         "event 0 has event_detect_round 0, the rounds' feedback gives 36"),
         (lambda r: r["rounds"][1].__setitem__("round", 7), "round 1 is numbered 7"),
         (lambda r: r["rounds"][0]["detected"].append(1),
          "round 0 lists detected events [1], event_detect_round gives []"),
@@ -393,6 +395,18 @@ class TestReport:
          "final_utilities of node 2 is '0.5', which is not a number"),
         (_drained(lambda r: r["final_ucb_means"].__setitem__(4, True)),
          "final_ucb_means of node 4 is True, which is not a number"),
+        (lambda r: r.update(n_budgeted_selections=r["n_budgeted_selections"] + 1),
+         "n_budgeted_selections is 193, the policy and config give 192"),
+        (lambda r: r.update(policy="static"), "n_budgeted_selections is 192, the policy and config give 0"),
+        (lambda r: r.update(policy="greedy"), "unknown policy 'greedy' (valid: static, periodic, ucb, adaptive)"),
+        (lambda r: r["config"].update(rounds=10), "config.rounds is 10, the record has 96 rounds"),
+        (lambda r: r["config"].update(nodes_per_zone=5), "zone_of is not the layout of the config's 2 zones of 5 nodes"),
+        (lambda r: r["config"].update(n_zones=3), "zone_of is not the layout of the config's 3 zones of 3 nodes"),
+        (lambda r: r["config"].update(noise_sigma=-1.0), "noise_sigma must be in [0, 1], got -1.0"),
+        (lambda r: r["config"].pop("hierarchy"), "missing key 'hierarchy'"),
+        (lambda r: r["config"].update(volts=3), "config has keys SimConfig does not know: ['volts']"),
+        (lambda r: r["config"].update(energy_cost_range=[1.5, 1.75]),
+         "energy_cost of node 0 is 1.4900963480618716, outside energy_cost_range [1.5, 1.75]"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
@@ -402,7 +416,9 @@ class TestReport:
             "total-spent-inflated", "activation-counts-zero", "final-battery-full",
             "death-rounds-past-the-run", "deaths-hidden", "over-drawn", "spent-doubled", "detections-cleared",
             "energy-cost-strings", "zone-of-float", "zone-of-bool", "activation-count-float", "death-round-bool",
-            "final-battery-null", "final-utility-string", "final-ucb-mean-bool"])
+            "final-battery-null", "final-utility-string", "final-ucb-mean-bool", "budgeted-selections-edited",
+            "policy-static", "policy-unknown", "config-rounds", "config-nodes-per-zone", "config-zones",
+            "config-invalid", "config-without-hierarchy", "config-unknown-key", "config-costs-outside-range"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
         n_selected = len(record["rounds"][0]["selected"])

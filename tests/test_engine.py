@@ -518,14 +518,12 @@ class TestBatteryDepletion:
         both = np.array([0, 1])
         state = engine._RunState(costs, 5.0)
         assert state.cand_ids.tolist() == [0, 1]
-        state.activate(np.array([0]), costs[:1], 0)
+        state.activate(np.array([0]), costs[:1])
         assert state.survive(8) and not state.survive(9)
-        for t in range(1, 9):
-            state.activate(both, costs[both], t)
-        assert state.death_round.tolist() == [-1, -1, -1]
+        for _ in range(8):
+            state.activate(both, costs[both])
         assert state.survive(0) and not state.survive(1)
-        state.activate(both, costs[both], 9)
-        assert state.death_round.tolist() == [9, -1, -1]
+        state.activate(both, costs[both])
         assert state.cand_ids.tolist() == [1]
         # node 1: (9 + 10 + 1) * 0.25 == 5.0
         assert state.survive(10) and not state.survive(11)
@@ -538,7 +536,7 @@ class TestBatteryDepletion:
         assert INITIAL_UTILITY == 1.0
         assert np.all(state.ucb_means == 0.0)
         assert state.pulls.tolist() == [0, 0, 0, 0]
-        assert (state.max_violation, state.n_budgeted) == (0.0, 0)
+        assert state.max_violation == 0.0
 
     def test_round_log_matches_the_csv_module(self, drained_runs, tmp_path):
         path = tmp_path / "rounds.csv"

@@ -12,7 +12,6 @@ from edgesense.core import Pollutant, SimConfig
 from edgesense.engine import RunResult, run_simulation
 from edgesense.metrics import (
     Comparison,
-    avg_daily_energy,
     compare,
     compute_run_metrics,
     lifetime_estimate,
@@ -119,7 +118,6 @@ class TestRunMetrics:
         assert m.avg_daily_energy == pytest.approx(120.0)
         assert m.days == 30
         assert m.n_nodes == 4
-        assert avg_daily_energy(run) == m.avg_daily_energy
 
     def test_detection_fields(self):
         events = [

@@ -9,9 +9,10 @@ node dies a budgeted policy reads a subset of what static reads. A
 budgeted selection is fundable and fits its budget. Without reading noise,
 static's feedback is the trace's alone, whatever the run seed. Detection is
 what a replay of the round logs finds. With one zone, the per-zone budget
-split is the fleet-wide budget.
+split is the fleet-wide budget. A run's record loads as that run.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from test_run_digests import run_digest
 
 from edgesense import engine
 from edgesense.core import POLLUTANTS, SimConfig
-from edgesense.engine import run_simulation
+from edgesense.engine import RunResult, run_simulation
 from edgesense.policy import POLICY_ORDER
 from edgesense.trace import EventSpec, build_round_trace, draw_events, generate_synthetic
 
@@ -239,3 +240,20 @@ def test_with_one_zone_the_split_is_the_fleet_budget(cfg, policy):
     split, whole = (run_simulation(cfg.replace(hierarchy=h), traces, policy) for h in (True, False))
     assert [lg.budget_total for lg in split.logs] == [lg.budget_total for lg in whole.logs]
     assert run_digest(split) == run_digest(whole)
+
+
+@settings(max_examples=50)
+@given(cfg=st.one_of(fixed_worlds(), budgeted_worlds()))
+def test_a_record_loads_as_the_run_it_was_saved_from(cfg):
+    # deaths inside fixed blocks, budgeted rounds that select nobody, the
+    # split on and off: the loader rebuilds every field bit for bit
+    traces = fixed_world_traces(cfg)
+    for policy in POLICY_ORDER:
+        run = run_simulation(cfg, traces, policy)
+        loaded = engine.run_from_dict(run.to_dict())
+        for field in dataclasses.fields(RunResult):
+            got, want = getattr(loaded, field.name), getattr(run, field.name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
+            else:
+                assert repr(got) == repr(want), field.name
