@@ -477,39 +477,37 @@ class _RunState:
 
 class _Record:
     """A run's round record as its loop writes it, a round or a block of
-    rounds at a time. The id and feedback columns are allocated for every
-    node in every round, but memory backs only the pages written, and
-    columns() gives the rest back in place: a run never holds its record
-    twice."""
+    rounds at a time: what the loop decided, from which _build_run derives
+    the rest. The id and feedback columns are allocated for every node in
+    every round, but memory backs only the pages written, and columns()
+    gives the rest back in place: a run never holds its record twice."""
 
     def __init__(self, rounds: int, n: int):
         self._ids = np.empty(rounds * n, dtype=np.int32)
         self._feedback = np.empty(rounds * n)
         self._size = 0
-        self.counts, self.spent, self.budget, self.mean_reward = [], [], [], []
+        self.counts, self.budget = [], []
 
-    def write(self, ids, feedback, counts, spent, budget, mean_reward) -> None:
+    def write(self, ids, feedback, counts, budget=()) -> None:
         """Append rounds: ids and feedback hold all their entries in round
-        order, the other lists one value per round."""
+        order, counts (and a budgeted run's budget) one value per round."""
         end = self._size + ids.size
         self._ids[self._size:end] = ids
         self._feedback[self._size:end] = feedback
         self._size = end
         self.counts += counts
-        self.spent += spent
         self.budget += budget
-        self.mean_reward += mean_reward
 
     def columns(self) -> dict:
-        """RunResult's column fields; the record is spent."""
+        """The round columns _build_run takes; the record is spent."""
         # no view of either column is out, but a profiler may hold the bound method
         self._ids.resize(self._size, refcheck=False)
         self._feedback.resize(self._size, refcheck=False)
         return dict(selected=self._ids, feedback=self._feedback, n_selected=np.array(self.counts, dtype=np.int64),
-                    spent=np.array(self.spent), budget=np.array(self.budget), mean_reward=np.array(self.mean_reward))
+                    budget=np.array(self.budget))
 
 
-# Most (round, node) rows in one block of a fixed-schedule run (_run_fixed):
+# Most (round, node) rows in a block of _run_fixed or a chunk of _round_sums:
 # at 15-minute rounds, whole days up to 83 nodes, 40 rounds at 200, 8 at 1000.
 # Time per 2880-round run over the round loop's (which ran wide fleets before),
 # static/periodic, median of 11 paired in-process ratios (2-vCPU x86 VM):
@@ -575,11 +573,12 @@ def _build_run(cfg: SimConfig, policy_kind: PolicyKind, seed: int, trace_hash: s
     """The one way a RunResult is built, by run_simulation and by the loader:
     from the run's inputs, its round columns (_Record.columns), its
     activation counts, its learner state and its worst budget overspend.
-    Derives the rest: each node's remaining charge and its death round (that
-    of its last activation if the battery rule says it cannot fund another,
-    else -1), the total spend, the budgeted cluster selections and the event
-    detections."""
+    Derives the rest: each round's spend and mean reward (_round_sums), a
+    fixed schedule's budgets, each node's remaining charge and death round
+    (that of its last activation if the battery rule says it cannot fund
+    another, else -1), the total spend, budgeted selections and detections."""
     selected, n_selected = columns["selected"], columns["n_selected"]
+    spent, mean_reward = _round_sums(cfg, energy_cost, selected, columns["feedback"], n_selected)
     death_round = np.full(len(energy_cost), -1, dtype=np.int64)
     dead = _cannot_fund(activation_counts, energy_cost, cfg.battery_capacity)
     if dead.any():
@@ -593,7 +592,8 @@ def _build_run(cfg: SimConfig, policy_kind: PolicyKind, seed: int, trace_hash: s
         policy=policy_kind.value,
         seed=seed,
         trace_hash=trace_hash,
-        **columns,
+        # a fixed schedule has no cap: it reports what it spends as its budget
+        **dict(columns, spent=spent, budget=columns["budget"] if budgeted else spent, mean_reward=mean_reward),
         energy_cost=energy_cost,
         zone_of=zone_of,
         final_battery=_charge_left(activation_counts, energy_cost, cfg.battery_capacity),
@@ -602,13 +602,36 @@ def _build_run(cfg: SimConfig, policy_kind: PolicyKind, seed: int, trace_hash: s
         events=events,
         event_detected=detected,
         event_detect_round=detect_round,
-        total_spent=reduce(add, columns["spent"].tolist(), 0.0),  # left to right, like a round's budget in _run_rounds
+        total_spent=reduce(add, spent.tolist(), 0.0),  # left to right, like a round's budget in _run_rounds
         max_budget_violation=max_budget_violation,
         # a budgeted policy selects once per cluster a round: a zone, or the whole fleet
         n_budgeted_selections=cfg.rounds * (cfg.n_zones if cfg.hierarchy else 1) if budgeted else 0,
         final_utilities=final_utilities,
         final_ucb_means=final_ucb_means,
     )
+
+
+def _round_sums(cfg, energy_cost, selected, feedback, n_selected):
+    """Each round's spend and mean reward (alpha*I - beta*E), 0.0 for an empty
+    round, each the float of that round's own 1-D sum over its selected nodes,
+    in chunks of whole rounds of at most FIXED_BLOCK_ROWS entries (or one)."""
+    counts, starts, spents, mean_rewards = n_selected.tolist(), _round_starts(n_selected), [], []
+    step = max(1, FIXED_BLOCK_ROWS // len(energy_cost))  # no round holds more entries than nodes
+    for t in range(0, len(counts), step):
+        widths = counts[t:t + step]
+        length, width, chunk = len(widths), widths[0], slice(starts[t], starts[t + len(widths)])
+        row_costs = energy_cost[selected[chunk]]
+        rewards = reward(feedback[chunk], row_costs, cfg.alpha, cfg.beta)
+        if width and widths.count(width) == length:
+            # a row of a C-contiguous view sums in the order of a 1-D array
+            # of its length; np.add.reduceat would sum in another
+            spents += row_costs.reshape(length, width).sum(axis=1).tolist()
+            mean_rewards += (rewards.reshape(length, width).sum(axis=1) / width).tolist()
+        else:
+            bounds = _round_starts(widths)
+            spents += [float(row_costs[a:b].sum()) if b > a else 0.0 for a, b in zip(bounds, bounds[1:])]
+            mean_rewards += [float(rewards[a:b].sum() / (b - a)) if b > a else 0.0 for a, b in zip(bounds, bounds[1:])]
+    return np.array(spents), np.array(mean_rewards)
 
 
 def _run_rounds(cfg, policy_kind, read, state, obs, record):
@@ -651,25 +674,20 @@ def _run_rounds(cfg, policy_kind, read, state, obs, record):
             max_violation = max(max_violation, cost - budget)
 
         sel_costs = costs[sel]
-        spent = float(sel_costs.sum()) if sel.size else 0.0
         sel_pulls = state.activate(sel, sel_costs)
 
         feedback = read(t, 1, sel, obs.unseen, window)
 
-        mean_reward = 0.0
-        if sel.size:
-            if policy_kind is PolicyKind.ADAPTIVE:
-                state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
-            else:
-                # sel_pulls already counts this round's activation
-                payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
-                state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / sel_pulls
-            rewards = reward(feedback, sel_costs, cfg.alpha, cfg.beta)
-            mean_reward = float(rewards.sum() / rewards.size)
+        if policy_kind is PolicyKind.ADAPTIVE:
+            state.utilities[sel] = update_utility(state.utilities[sel], feedback, cfg.eta)
+        else:
+            # sel_pulls already counts this round's activation
+            payoff = normalized_payoff(feedback, sel_costs, cfg.alpha, cfg.beta, max_energy)
+            state.ucb_means[sel] += (payoff - state.ucb_means[sel]) / sel_pulls
 
         # the round's budget adds the cluster budgets left to right: np.sum
         # adds pairwise, and sum() compensates from Python 3.12 on
-        record.write(sel, feedback, [sel.size], [spent], [reduce(add, budgets, 0.0)], [mean_reward])
+        record.write(sel, feedback, [sel.size], [reduce(add, budgets, 0.0)])
     state.max_violation = max_violation
 
 
@@ -678,8 +696,7 @@ def _run_fixed(cfg, policy_kind, read, block, state, obs, record):
     block rounds that never cross a day (a noise chunk and a baseline window).
     A fixed schedule never reads the observation state, so only selection goes
     round by round, and the batteries in a block where some node may die
-    (_RunState.survive); otherwise its activations are counted once. Writes
-    the record; a fixed schedule has no budget to overspend."""
+    (_RunState.survive); otherwise its activations are counted once."""
     costs = state.costs
     n, per_day = costs.size, cfg.rounds_per_day
     base = 0
@@ -702,22 +719,7 @@ def _run_fixed(cfg, policy_kind, read, block, state, obs, record):
         if charge_once:
             state.pulls += np.bincount(rows, minlength=n)
         positions = np.repeat(np.arange(0, length * n, n), counts) + rows
-        feedback = read(base, length, positions, obs.unseen, partial(obs.push_day, base))
-        row_costs = costs[rows]
-        rewards = reward(feedback, row_costs, cfg.alpha, cfg.beta)
-
-        width = counts[0]
-        if width and counts.count(width) == length:
-            # a row of a C-contiguous view sums in the order of a 1-D array
-            # of its length; np.add.reduceat would sum in another
-            spents = row_costs.reshape(length, width).sum(axis=1).tolist()
-            mean_rewards = (rewards.reshape(length, width).sum(axis=1) / width).tolist()
-        else:
-            starts = _round_starts(counts)
-            spents = [float(row_costs[a:b].sum()) if b > a else 0.0 for a, b in zip(starts, starts[1:])]
-            mean_rewards = [float(rewards[a:b].sum() / (b - a)) if b > a else 0.0 for a, b in zip(starts, starts[1:])]
-        # a fixed schedule has no cap: it reports what it spends as its budget
-        record.write(rows, feedback, counts, spents, spents, mean_rewards)
+        record.write(rows, read(base, length, positions, obs.unseen, partial(obs.push_day, base)), counts)
         base += length
 
 
@@ -836,8 +838,7 @@ def run_from_dict(d: dict) -> RunResult:
             raise ValueError(f"an event names zone {ev.zone_id}, outside 0..{cfg.n_zones - 1}")
 
     columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
-                   n_selected=n_selected,
-                   **{key: np.array(values, dtype=np.float64) for key, values in per_round.items()})
+                   n_selected=n_selected, budget=np.array(per_round["budget"], dtype=np.float64))
     utilities, ucb_means = (np.asarray(nodes.get(key, [start] * n), dtype=np.float64)
                             for key, start in (("final_utilities", INITIAL_UTILITY), ("final_ucb_means", 0.0)))
     run = _build_run(cfg, policy_kind, d["seed"], d["trace_hash"], events, columns, costs, zone_of, counts,
@@ -847,8 +848,6 @@ def run_from_dict(d: dict) -> RunResult:
         wrong = np.flatnonzero(np.asarray(nodes[key]) != getattr(run, key))
         if wrong.size:
             raise ValueError(f"{key} of node {wrong[0]} disagrees with the rounds' selections")
-    if d["total_spent"] != run.total_spent:
-        raise ValueError("total_spent is not the sum of the rounds' spent")
     if d["n_budgeted_selections"] != run.n_budgeted_selections:
         raise ValueError(f"n_budgeted_selections is {d['n_budgeted_selections']!r}, "
                          f"the policy and config give {run.n_budgeted_selections}")
@@ -856,17 +855,17 @@ def run_from_dict(d: dict) -> RunResult:
         for idx, (got, want) in enumerate(zip_longest(d[key], getattr(run, key))):
             if got != want:
                 raise ValueError(f"event {idx} has {key} {got!r}, the rounds' feedback gives {want!r}")
-    # the float each loop writes: the selection's costs summed in one call
-    sel_costs = costs[run.selected]
-    starts = _round_starts(n_selected)
+    for key, source in (("spent", "its selected nodes cost"), ("mean_reward", "its selected nodes' mean reward is"),
+                        ("budget", "a fixed schedule's budget is its spent")):
+        for t in np.flatnonzero(np.array(per_round[key], dtype=np.float64) != getattr(run, key))[:1]:
+            raise ValueError(f"round {t} has {key} {per_round[key][t]!r}, {source} {getattr(run, key)[t].item()!r}")
     detected = _detections_by_round(run.event_detect_round)
-    for t, (r, a, b, spent) in enumerate(zip(rounds, starts, starts[1:], run.spent.tolist())):
-        want = float(sel_costs[a:b].sum()) if b > a else 0.0
-        if spent != want:
-            raise ValueError(f"round {t} has spent {spent!r}, its selected nodes cost {want!r}")
+    for t, r in enumerate(rounds):
         if r["detected"] != list(detected.get(t, ())):
             raise ValueError(f"round {t} lists detected events {r['detected']}, "
                              f"event_detect_round gives {list(detected.get(t, ()))}")
+    if d["total_spent"] != run.total_spent:
+        raise ValueError("total_spent is not the sum of the rounds' spent")
     return run
 
 
