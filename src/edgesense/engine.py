@@ -15,6 +15,7 @@ round's draws. Reordering policies or rerunning cannot shift anybody's noise.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial, reduce
@@ -34,6 +35,7 @@ from .core import (
     build_fleet,
     fleet_zones,
     require_valid,
+    seed_problem,
     stream,
 )
 from .policy import (
@@ -574,9 +576,10 @@ def _build_run(cfg: SimConfig, policy_kind: PolicyKind, seed: int, trace_hash: s
     from the run's inputs, its round columns (_Record.columns), its
     activation counts, its learner state and its worst budget overspend.
     Derives the rest: each round's spend and mean reward (_round_sums), a
-    fixed schedule's budgets, each node's remaining charge and death round
-    (that of its last activation if the battery rule says it cannot fund
-    another, else -1), the total spend, budgeted selections and detections."""
+    fixed schedule's budgets and overspend (0.0), each node's remaining
+    charge and death round (that of its last activation if the battery rule
+    says it cannot fund another, else -1), the total spend, budgeted
+    selections and detections."""
     selected, n_selected = columns["selected"], columns["n_selected"]
     spent, mean_reward = _round_sums(cfg, energy_cost, selected, columns["feedback"], n_selected)
     death_round = np.full(len(energy_cost), -1, dtype=np.int64)
@@ -603,7 +606,7 @@ def _build_run(cfg: SimConfig, policy_kind: PolicyKind, seed: int, trace_hash: s
         event_detected=detected,
         event_detect_round=detect_round,
         total_spent=reduce(add, spent.tolist(), 0.0),  # left to right, like a round's budget in _run_rounds
-        max_budget_violation=max_budget_violation,
+        max_budget_violation=max_budget_violation if budgeted else 0.0,
         # a budgeted policy selects once per cluster a round: a zone, or the whole fleet
         n_budgeted_selections=cfg.rounds * (cfg.n_zones if cfg.hierarchy else 1) if budgeted else 0,
         final_utilities=final_utilities,
@@ -778,6 +781,15 @@ def run_from_dict(d: dict) -> RunResult:
         if not set(map(type, values)) <= types:
             node, value = next((i, v) for i, v in enumerate(values) if type(v) not in types)
             raise ValueError(f"{key} of node {node} is {value!r}, which is not {kind}")
+    seed, trace_hash, violation = d["seed"], d["trace_hash"], d["max_budget_violation"]
+    if type(seed) is not int:
+        raise ValueError(f"seed is {seed!r}, which is not an int")
+    if problem := seed_problem(seed):
+        raise ValueError(problem)
+    if type(trace_hash) is not str:
+        raise ValueError(f"trace_hash is {trace_hash!r}, which is not a string")
+    if type(violation) not in (int, float) or not 0 <= violation < math.inf:
+        raise ValueError(f"max_budget_violation is {violation!r}, which is not a finite number >= 0")
     config = d["config"]
     cfg = require_valid(SimConfig(**{f.name: config[f.name] for f in fields(SimConfig)}))
     if len(config) != len(fields(SimConfig)):
@@ -818,31 +830,45 @@ def run_from_dict(d: dict) -> RunResult:
                              f"for {len(r['selected'])} selected nodes")
     selected = np.fromiter(ids, dtype=np.int64, count=len(ids))
     n_selected = np.array([len(r["selected"]) for r in rounds], dtype=np.int64)
+    ends = np.cumsum(n_selected)
     outside = np.flatnonzero((selected < 0) | (selected >= n))
     if outside.size:
-        t = int(np.searchsorted(np.cumsum(n_selected), outside[0], side="right"))
-        raise ValueError(f"round {t} selects a node outside 0..{n - 1}")
+        raise ValueError(f"round {np.searchsorted(ends, outside[0], side='right')} selects a node outside 0..{n - 1}")
     selected = selected.astype(np.int32)  # each id names a node, so the cast keeps it
+    columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
+                   n_selected=n_selected,
+                   **{key: np.array(values, dtype=np.float64) for key, values in per_round.items()})
+    # feedback as feedback_proxy gives it, budgets as select_budgeted takes them
+    outside = np.flatnonzero(~((0 <= columns["feedback"]) & (columns["feedback"] <= 1)))
+    if outside.size:
+        raise ValueError(f"round {np.searchsorted(ends, outside[0], side='right')} has feedback "
+                         f"{feedback[outside[0]]!r}, outside [0, 1]")
+    outside = np.flatnonzero(~((0 <= columns["budget"]) & (columns["budget"] < np.inf)))
+    if outside.size:
+        raise ValueError(f"round {outside[0]} has budget {per_round['budget'][outside[0]]!r}, "
+                         "which is not a finite number >= 0")
     counts = np.bincount(selected, minlength=n)
     # a node with count activations could fund the last one only if it could
     # fund another after count - 1
     over = np.flatnonzero((counts > 0) & _cannot_fund(counts - 1, costs, cfg.battery_capacity))
     if over.size:
         raise ValueError(f"node {over[0]} is selected {counts[over[0]]} times, more than its battery funds")
-    events = [
-        EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]), e["magnitude"])
-        for e in d["events"]
-    ]
-    for ev in events:
-        if not 0 <= ev.zone_id < cfg.n_zones:
-            raise ValueError(f"an event names zone {ev.zone_id}, outside 0..{cfg.n_zones - 1}")
+    events = []
+    for idx, e in enumerate(d["events"]):
+        for key in ("zone_id", "start_round", "end_round"):
+            if type(e[key]) is not int:
+                raise ValueError(f"event {idx} has {key} {e[key]!r}, which is not an int")
+        if type(e["magnitude"]) not in (int, float) or not abs(e["magnitude"]) < math.inf:
+            raise ValueError(f"event {idx} has magnitude {e['magnitude']!r}, which is not a finite number")
+        events.append(EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]),
+                                e["magnitude"]))
+        if not 0 <= e["zone_id"] < cfg.n_zones:
+            raise ValueError(f"an event names zone {e['zone_id']}, outside 0..{cfg.n_zones - 1}")
 
-    columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
-                   n_selected=n_selected, budget=np.array(per_round["budget"], dtype=np.float64))
     utilities, ucb_means = (np.asarray(nodes.get(key, [start] * n), dtype=np.float64)
                             for key, start in (("final_utilities", INITIAL_UTILITY), ("final_ucb_means", 0.0)))
-    run = _build_run(cfg, policy_kind, d["seed"], d["trace_hash"], events, columns, costs, zone_of, counts,
-                     utilities, ucb_means, d["max_budget_violation"])
+    run = _build_run(cfg, policy_kind, seed, trace_hash, events, columns, costs, zone_of, counts,
+                     utilities, ucb_means, float(violation))
 
     for key in ("activation_counts", "final_battery", "death_round"):
         wrong = np.flatnonzero(np.asarray(nodes[key]) != getattr(run, key))
@@ -851,13 +877,17 @@ def run_from_dict(d: dict) -> RunResult:
     if d["n_budgeted_selections"] != run.n_budgeted_selections:
         raise ValueError(f"n_budgeted_selections is {d['n_budgeted_selections']!r}, "
                          f"the policy and config give {run.n_budgeted_selections}")
+    if violation != run.max_budget_violation:
+        raise ValueError(f"max_budget_violation is {violation!r}, a {run.policy} run never overspends")
     for key in ("event_detect_round", "event_detected"):
         for idx, (got, want) in enumerate(zip_longest(d[key], getattr(run, key))):
             if got != want:
                 raise ValueError(f"event {idx} has {key} {got!r}, the rounds' feedback gives {want!r}")
     for key, source in (("spent", "its selected nodes cost"), ("mean_reward", "its selected nodes' mean reward is"),
                         ("budget", "a fixed schedule's budget is its spent")):
-        for t in np.flatnonzero(np.array(per_round[key], dtype=np.float64) != getattr(run, key))[:1]:
+        wrong = np.flatnonzero(columns[key] != getattr(run, key))
+        if wrong.size:
+            t = wrong[0]
             raise ValueError(f"round {t} has {key} {per_round[key][t]!r}, {source} {getattr(run, key)[t].item()!r}")
     detected = _detections_by_round(run.event_detect_round)
     for t, r in enumerate(rounds):

@@ -57,12 +57,14 @@ def cfg_file(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def artifacts(cfg_file, tmp_path_factory):
-    """One compare directory and two run records, built once and reused:
-    run_json, whose nodes all live, and drained_json, a 3-day run on a
-    150 mAh battery in which five of its six nodes die."""
+    """One compare directory and three run records, built once and reused:
+    run_json, an adaptive run whose nodes all live, static_json, the static
+    run of the same world, and drained_json, a 3-day run on a 150 mAh
+    battery in which five of its six nodes die."""
     base = tmp_path_factory.mktemp("artifacts")
     cmp_dir = base / "cmp"
     run_json = base / "run.json"
+    static_json = base / "static.json"
     drained_json = base / "drained.json"
     round_log = base / "rounds.csv"
     compare_argv = (
@@ -78,6 +80,9 @@ def artifacts(cfg_file, tmp_path_factory):
         "--out", str(drained_json),
     )
     assert proc.returncode == 0, proc.stderr
+    proc = run_cli("run", "--config", cfg_file, "--synthetic", "--policy", "static", "--seed", "3",
+                   "--out", str(static_json))
+    assert proc.returncode == 0, proc.stderr
     proc = run_cli(
         "run", "--config", cfg_file, "--synthetic", "--policy", "adaptive",
         "--seed", "3", "--out", str(run_json), "--round-log", str(round_log),
@@ -87,6 +92,7 @@ def artifacts(cfg_file, tmp_path_factory):
         "cmp_dir": str(cmp_dir),
         "compare_argv": compare_argv,
         "run_json": str(run_json),
+        "static_json": str(static_json),
         "drained_json": str(drained_json),
         "round_log": str(round_log),
         "run_stdout": proc.stdout,
@@ -102,6 +108,13 @@ def _drained(edit):
     """Mark a case of test_inconsistent_run_record_exits_two as an edit of
     the drained record rather than of the run record."""
     edit.record = "drained_json"
+    return edit
+
+
+def _static(edit):
+    """Mark a case of test_inconsistent_run_record_exits_two as an edit of
+    the static record."""
+    edit.record = "static_json"
     return edit
 
 
@@ -407,6 +420,26 @@ class TestReport:
         (lambda r: r["config"].update(volts=3), "config has keys SimConfig does not know: ['volts']"),
         (lambda r: r["config"].update(energy_cost_range=[1.5, 1.75]),
          "energy_cost of node 0 is 1.4900963480618716, outside energy_cost_range [1.5, 1.75]"),
+        (lambda r: r["rounds"][1].__setitem__("mean_reward", 0.25),
+         "round 1 has mean_reward 0.25, its selected nodes' mean reward is -0.4882035619722818"),
+        (_static(lambda r: r["rounds"][1].__setitem__("mean_reward", 0.25)),
+         "round 1 has mean_reward 0.25, its selected nodes' mean reward is -0.5717086060981902"),
+        (_static(lambda r: r["rounds"][2].__setitem__("budget", 10.0)),
+         "round 2 has budget 10.0, a fixed schedule's budget is its spent 7.577414949702322"),
+        (lambda r: r.update(seed="x"), "seed is 'x', which is not an int"),
+        (lambda r: r.update(seed=True), "seed is True, which is not an int"),
+        (lambda r: r.update(seed=2 ** 70), "seed must be in [0, 2**64), got 1180591620717411303424"),
+        (lambda r: r.update(max_budget_violation="oops"),
+         "max_budget_violation is 'oops', which is not a finite number >= 0"),
+        (_static(lambda r: r.update(max_budget_violation=5.0)),
+         "max_budget_violation is 5.0, a static run never overspends"),
+        (lambda r: r["events"][0].update(zone_id=True), "event 0 has zone_id True, which is not an int"),
+        (lambda r: r["events"][1].update(magnitude=float("nan")),
+         "event 1 has magnitude nan, which is not a finite number"),
+        (lambda r: r.update(trace_hash=5), "trace_hash is 5, which is not a string"),
+        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, 1.5), "round 0 has feedback 1.5, outside [0, 1]"),
+        (lambda r: r["rounds"][2].__setitem__("budget", float("nan")),
+         "round 2 has budget nan, which is not a finite number >= 0"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
@@ -418,7 +451,10 @@ class TestReport:
             "energy-cost-strings", "zone-of-float", "zone-of-bool", "activation-count-float", "death-round-bool",
             "final-battery-null", "final-utility-string", "final-ucb-mean-bool", "budgeted-selections-edited",
             "policy-static", "policy-unknown", "config-rounds", "config-nodes-per-zone", "config-zones",
-            "config-invalid", "config-without-hierarchy", "config-unknown-key", "config-costs-outside-range"])
+            "config-invalid", "config-without-hierarchy", "config-unknown-key", "config-costs-outside-range",
+            "mean-reward-edited", "static-mean-reward-edited", "static-budget-not-spent", "seed-string",
+            "seed-bool", "seed-past-64-bits", "max-violation-string", "static-max-violation", "event-zone-bool",
+            "event-magnitude-nan", "trace-hash-int", "feedback-above-one", "budget-nan"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
         n_selected = len(record["rounds"][0]["selected"])

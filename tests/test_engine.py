@@ -36,7 +36,7 @@ from edgesense.engine import (
     sensor_reading,
     write_round_log_csv,
 )
-from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, select_static
+from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, reward, select_static
 from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
 from oracles import mark_detections, round_log_csv, trend_slope, window_mean
 from test_run_digests import DRAINED, build_traces, run_digest
@@ -550,9 +550,9 @@ class TestFixedBlockSums:
     @pytest.mark.parametrize("width", [*range(1, 10), 127, 128, 129, 130, 255, 256, 257, 258, 1000, 8000])
     @pytest.mark.parametrize("rounds", [1, 7, 96])
     def test_a_row_sum_is_the_sum_of_that_round_alone(self, rounds, width):
-        # _run_fixed sums a block's spend and rewards as rows of a
-        # [rounds, width] view; the floats must be those of each round's own
-        # 1-D sum, across numpy's pairwise blocks, or digests would move
+        # _round_sums sums a chunk of equal-width rounds' spend and rewards as
+        # rows of a [rounds, width] view; the floats must be those of each
+        # round's own 1-D sum, across numpy's pairwise blocks, or digests would move
         rng = np.random.default_rng(width * 100 + rounds)
         x = rng.standard_normal(rounds * width) * 10.0 ** rng.uniform(-8, 8, rounds * width)
         rows = x.reshape(rounds, width).sum(axis=1)
@@ -562,6 +562,31 @@ class TestFixedBlockSums:
             # the data tells summation orders apart: left to right differs
             in_order = np.add.accumulate(x.reshape(rounds, width), axis=1)[:, -1]
             assert in_order.tobytes() != alone.tobytes()
+
+    @pytest.mark.parametrize("counts", [
+        [9] * 7, [128] * 5, [130] * 3, [0] * 4,
+        [0, 7, 8, 9, 0, 127, 128, 129, 130, 0], [0, 0, 8, 129, 129], [129, 129, 0, 16, 17],
+    ], ids=["uniform-9", "uniform-128", "uniform-130", "all-empty", "ragged", "empty-first", "empty-inside"])
+    @pytest.mark.parametrize("block_rows", [1, 300, engine.FIXED_BLOCK_ROWS])
+    def test_round_sums_are_each_rounds_own_sums(self, monkeypatch, counts, block_rows):
+        # chunks of 1, 2 and 61 rounds over a 130-node fleet: each round's
+        # spend and mean reward are its own 1-D sums whatever the chunking
+        monkeypatch.setattr(engine, "FIXED_BLOCK_ROWS", block_rows)
+        cfg = SimConfig()
+        rng = np.random.default_rng(sum(counts) + block_rows)
+        costs = 10.0 ** rng.uniform(-8, 8, 130)
+        sels = [rng.permutation(130)[:k].astype(np.int32) for k in counts]
+        feedback = rng.uniform(0.0, 1.0, sum(counts))
+        spent, mean_reward = engine._round_sums(cfg, costs, np.concatenate(sels), feedback,
+                                                np.array(counts, dtype=np.int64))
+        starts = np.cumsum([0, *counts])
+        for t, sel in enumerate(sels):
+            if sel.size:
+                rewards = reward(feedback[starts[t]:starts[t + 1]], costs[sel], cfg.alpha, cfg.beta)
+                assert spent[t].tobytes() == costs[sel].sum().tobytes()
+                assert mean_reward[t].tobytes() == (rewards.sum() / sel.size).tobytes()
+            else:
+                assert spent[t] == mean_reward[t] == 0.0
 
 
 class TestDetection:
