@@ -766,21 +766,11 @@ def load_run(path: str) -> RunResult:
 
 
 def run_from_dict(d: dict) -> RunResult:
-    """Rebuild a RunResult from a parsed record of format RUN_FORMAT: check
-    the record's types, structure and config, build its inputs into a run
-    as run_simulation does (_build_run), and require every derived field it
-    stores to equal the rebuilt run's. A record written before the final
-    learner state was saved loads with the run-start state. A record that
-    contradicts itself or its config raises ValueError."""
-    nodes = {key: d[key] for key in ("energy_cost", "zone_of", "activation_counts", "death_round", "final_battery")}
-    nodes.update((key, d[key]) for key in ("final_utilities", "final_ucb_means") if key in d)
-    # JSON numbers load as ints and floats; numpy would take strings and bools too
-    ints = ("zone_of", "activation_counts", "death_round")
-    for key, values in nodes.items():
-        types, kind = ({int}, "an int") if key in ints else ({int, float}, "a number")
-        if not set(map(type, values)) <= types:
-            node, value = next((i, v) for i, v in enumerate(values) if type(v) not in types)
-            raise ValueError(f"{key} of node {node} is {value!r}, which is not {kind}")
+    """Rebuild a RunResult from a parsed record of format RUN_FORMAT, or raise
+    ValueError: check its inputs' types, structure and config, build them as
+    run_simulation does (_build_run), and require each stored derived field to
+    be the rebuilt run's. A record without learner state gets the start state."""
+    nodes = {"energy_cost": d["energy_cost"], **{k: d[k] for k in ("final_utilities", "final_ucb_means") if k in d}}
     seed, trace_hash, violation = d["seed"], d["trace_hash"], d["max_budget_violation"]
     if type(seed) is not int:
         raise ValueError(f"seed is {seed!r}, which is not an int")
@@ -791,15 +781,20 @@ def run_from_dict(d: dict) -> RunResult:
     if type(violation) not in (int, float) or not 0 <= violation < math.inf:
         raise ValueError(f"max_budget_violation is {violation!r}, which is not a finite number >= 0")
     config = d["config"]
+    for f in fields(SimConfig):  # each config value has its field's JSON type: 1 is no bool, 96.0 no int
+        value, pair = config[f.name], f.name == "energy_cost_range"
+        types, kind = {"bool": ({bool}, "a bool"), "int": ({int}, "an int")}.get(f.type, ({int, float}, "a number"))
+        if not (type(value) is list and len(value) == 2 and set(map(type, value)) <= types if pair
+                else type(value) in types):
+            raise ValueError(f"config.{f.name} is {value!r}, which is not {'two numbers' if pair else kind}")
     cfg = require_valid(SimConfig(**{f.name: config[f.name] for f in fields(SimConfig)}))
     if len(config) != len(fields(SimConfig)):
         raise ValueError(f"config has keys SimConfig does not know: {sorted(set(config) - set(cfg.to_dict()))}")
-    policy_kind = PolicyKind.from_name(d["policy"])
     n = cfg.n_nodes
-    zone_of = fleet_zones(cfg).astype(np.int64)
-    if not np.array_equal(nodes["zone_of"], zone_of):
-        raise ValueError(f"zone_of is not the layout of the config's {cfg.n_zones} zones of {cfg.nodes_per_zone} nodes")
-    for key, values in nodes.items():
+    for key, values in nodes.items():  # JSON numbers load as ints and floats; numpy takes strings and bools too
+        if not set(map(type, values)) <= {int, float}:
+            node, value = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
+            raise ValueError(f"{key} of node {node} is {value!r}, which is not a number")
         if len(values) != n:
             raise ValueError(f"{key} has {len(values)} entries, the config has {n} nodes")
     costs = np.asarray(nodes["energy_cost"], dtype=np.float64)
@@ -808,23 +803,18 @@ def run_from_dict(d: dict) -> RunResult:
     if outside.size:
         raise ValueError(f"energy_cost of node {outside[0]} is {nodes['energy_cost'][outside[0]]!r}, "
                          f"outside energy_cost_range [{lo}, {hi}]")
-
-    rounds = d["rounds"]
-    if len(rounds) != cfg.rounds:
+    if len(rounds := d["rounds"]) != cfg.rounds:
         raise ValueError(f"config.rounds is {cfg.rounds}, the record has {len(rounds)} rounds")
     ids = list(chain.from_iterable(r["selected"] for r in rounds))
     if not set(map(type, ids)) <= {int}:
         t, value = next((t, i) for t, r in enumerate(rounds) for i in r["selected"] if type(i) is not int)
         raise ValueError(f"round {t} selects {value!r}, which is not a node id")
-    feedback = list(chain.from_iterable(r["feedback"] for r in rounds))
-    per_round = {key: [r[key] for r in rounds] for key in ("spent", "budget", "mean_reward")}
-    if not set(map(type, chain(feedback, *per_round.values()))) <= {int, float}:
-        t, key, value = next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", *per_round)
+    feedback, budget = list(chain.from_iterable(r["feedback"] for r in rounds)), [r["budget"] for r in rounds]
+    if not set(map(type, chain(feedback, budget))) <= {int, float}:
+        t, key, value = next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", "budget")
                              for v in (r[k] if k == "feedback" else [r[k]]) if type(v) not in (int, float))
         raise ValueError(f"round {t} has {key} {value!r}, which is not a number")
     for t, r in enumerate(rounds):
-        if r["round"] != t:
-            raise ValueError(f"round {t} is numbered {r['round']!r}")
         if len(r["feedback"]) != len(r["selected"]):
             raise ValueError(f"round {t} has {len(r['feedback'])} feedback values "
                              f"for {len(r['selected'])} selected nodes")
@@ -836,8 +826,7 @@ def run_from_dict(d: dict) -> RunResult:
         raise ValueError(f"round {np.searchsorted(ends, outside[0], side='right')} selects a node outside 0..{n - 1}")
     selected = selected.astype(np.int32)  # each id names a node, so the cast keeps it
     columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
-                   n_selected=n_selected,
-                   **{key: np.array(values, dtype=np.float64) for key, values in per_round.items()})
+                   n_selected=n_selected, budget=np.array(budget, dtype=np.float64))
     # feedback as feedback_proxy gives it, budgets as select_budgeted takes them
     outside = np.flatnonzero(~((0 <= columns["feedback"]) & (columns["feedback"] <= 1)))
     if outside.size:
@@ -845,8 +834,7 @@ def run_from_dict(d: dict) -> RunResult:
                          f"{feedback[outside[0]]!r}, outside [0, 1]")
     outside = np.flatnonzero(~((0 <= columns["budget"]) & (columns["budget"] < np.inf)))
     if outside.size:
-        raise ValueError(f"round {outside[0]} has budget {per_round['budget'][outside[0]]!r}, "
-                         "which is not a finite number >= 0")
+        raise ValueError(f"round {outside[0]} has budget {budget[outside[0]]!r}, which is not a finite number >= 0")
     counts = np.bincount(selected, minlength=n)
     # a node with count activations could fund the last one only if it could
     # fund another after count - 1
@@ -864,39 +852,37 @@ def run_from_dict(d: dict) -> RunResult:
                                 e["magnitude"]))
         if not 0 <= e["zone_id"] < cfg.n_zones:
             raise ValueError(f"an event names zone {e['zone_id']}, outside 0..{cfg.n_zones - 1}")
-
     utilities, ucb_means = (np.asarray(nodes.get(key, [start] * n), dtype=np.float64)
                             for key, start in (("final_utilities", INITIAL_UTILITY), ("final_ucb_means", 0.0)))
-    run = _build_run(cfg, policy_kind, seed, trace_hash, events, columns, costs, zone_of, counts,
-                     utilities, ucb_means, float(violation))
-
-    for key in ("activation_counts", "final_battery", "death_round"):
-        wrong = np.flatnonzero(np.asarray(nodes[key]) != getattr(run, key))
-        if wrong.size:
-            raise ValueError(f"{key} of node {wrong[0]} disagrees with the rounds' selections")
-    if d["n_budgeted_selections"] != run.n_budgeted_selections:
-        raise ValueError(f"n_budgeted_selections is {d['n_budgeted_selections']!r}, "
-                         f"the policy and config give {run.n_budgeted_selections}")
-    if violation != run.max_budget_violation:
-        raise ValueError(f"max_budget_violation is {violation!r}, a {run.policy} run never overspends")
-    for key in ("event_detect_round", "event_detected"):
-        for idx, (got, want) in enumerate(zip_longest(d[key], getattr(run, key))):
-            if got != want:
-                raise ValueError(f"event {idx} has {key} {got!r}, the rounds' feedback gives {want!r}")
-    for key, source in (("spent", "its selected nodes cost"), ("mean_reward", "its selected nodes' mean reward is"),
-                        ("budget", "a fixed schedule's budget is its spent")):
-        wrong = np.flatnonzero(columns[key] != getattr(run, key))
-        if wrong.size:
-            t = wrong[0]
-            raise ValueError(f"round {t} has {key} {per_round[key][t]!r}, {source} {getattr(run, key)[t].item()!r}")
-    detected = _detections_by_round(run.event_detect_round)
-    for t, r in enumerate(rounds):
-        if r["detected"] != list(detected.get(t, ())):
-            raise ValueError(f"round {t} lists detected events {r['detected']}, "
-                             f"event_detect_round gives {list(detected.get(t, ()))}")
-    if d["total_spent"] != run.total_spent:
-        raise ValueError("total_spent is not the sum of the rounds' spent")
+    run = _build_run(cfg, PolicyKind.from_name(d["policy"]), seed, trace_hash, events, columns, costs,
+                     fleet_zones(cfg).astype(np.int64), counts, utilities, ucb_means, float(violation))
+    detected, no_events = {t: list(ids) for t, ids in _detections_by_round(run.event_detect_round).items()}, []
+    per_round = dict(round=list(range(cfg.rounds)), spent=run.spent.tolist(), mean_reward=run.mean_reward.tolist(),
+                     budget=run.budget.tolist(), detected=[detected.get(t, no_events) for t in range(cfg.rounds)])
+    # (subject, key, stored, rebuilt) for each derived field, subject None for one value, to match in value and
+    # JSON type; a rebuilt list has one type per depth, so lists that match as wholes match entry by entry
+    derived = [*(("node", key, d[key], getattr(run, key).tolist())
+                 for key in ("zone_of", "activation_counts", "final_battery", "death_round")),
+               *((None, key, [d[key]], [getattr(run, key)])
+                 for key in ("n_budgeted_selections", "max_budget_violation")),
+               *(("event", key, d[key], getattr(run, key)) for key in ("event_detect_round", "event_detected")),
+               *(("round", key, [r[key] for r in rounds], rebuilt) for key, rebuilt in per_round.items()),
+               (None, "total_spent", [d["total_spent"]], [run.total_spent])]
+    for subject, key, stored, rebuilt in derived:
+        if not (stored == rebuilt and _json_types(stored) == _json_types(rebuilt)):
+            walk = enumerate(zip_longest(stored, rebuilt)) if type(stored) is list else ()
+            idx, got, want = next(((idx, got, want) for idx, (got, want) in walk  # a missing entry reads as None
+                                   if not (got == want and _json_types([got]) == _json_types([want]))),
+                                  (None, stored, rebuilt))  # no unequal entry: name the field as a whole
+            place = f"{subject} {idx} has {key}" if subject and idx is not None else f"{key} is"
+            raise ValueError(f"{place} {got!r}, the rebuilt run has {want!r}")
     return run
+
+
+def _json_types(values: list) -> set:
+    """The types of a list's entries and, in a list of lists, of theirs."""
+    types = set(map(type, values))
+    return types | set(map(type, chain.from_iterable(filter(None, values)))) if types == {list} else types
 
 
 def write_round_log_csv(run: RunResult, path: str) -> None:

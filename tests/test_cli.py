@@ -349,9 +349,9 @@ class TestReport:
         ]
 
     @pytest.mark.parametrize("edit, problem", [
-        (lambda r: r.update(zone_of=[]), "zone_of is not the layout of the config's 2 zones of 3 nodes"),
+        (lambda r: r.update(zone_of=[]), "node 0 has zone_of None, the rebuilt run has 0"),
         (lambda r: r["energy_cost"].pop(), "energy_cost has 5 entries, the config has 6 nodes"),
-        (lambda r: r["zone_of"].__setitem__(5, 2), "zone_of is not the layout of the config's 2 zones of 3 nodes"),
+        (lambda r: r["zone_of"].__setitem__(5, 2), "node 5 has zone_of 2, the rebuilt run has 1"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1000000), "round 0 selects a node outside 0..5"),
         (lambda r: r["rounds"][0]["feedback"].pop(), "round 0 has {} feedback values for {} selected nodes"),
         (lambda r: r["events"].append({"zone_id": 2, "start_round": 0, "end_round": 4,
@@ -361,78 +361,82 @@ class TestReport:
                                        "pollutant": "PM25", "magnitude": 4.0}),
          "event start_round must be >= 0, got -5"),
         (lambda r: r.update(event_detected=[True] * 21),
-         "event 2 has event_detected True, the rounds' feedback gives None"),
-        (lambda r: r["event_detect_round"].pop(), "event 1 has event_detect_round None, the rounds' feedback gives 85"),
+         "event 2 has event_detected True, the rebuilt run has None"),
+        (lambda r: r["event_detect_round"].pop(), "event 1 has event_detect_round None, the rebuilt run has 85"),
         (lambda r: r.update(event_detected=[False, False]),
-         "event 0 has event_detected False, the rounds' feedback gives True"),
+         "event 0 has event_detected False, the rebuilt run has True"),
         (lambda r: r.update(event_detected=[True, True], event_detect_round=[36, -1]),
-         "event 1 has event_detect_round -1, the rounds' feedback gives 85"),
+         "event 1 has event_detect_round -1, the rebuilt run has 85"),
         (lambda r: r["event_detect_round"].__setitem__(0, 0),
-         "event 0 has event_detect_round 0, the rounds' feedback gives 36"),
-        (lambda r: r["rounds"][1].__setitem__("round", 7), "round 1 is numbered 7"),
+         "event 0 has event_detect_round 0, the rebuilt run has 36"),
+        (lambda r: r["rounds"][1].__setitem__("round", 7), "round 1 has round 7, the rebuilt run has 1"),
         (lambda r: r["rounds"][0]["detected"].append(1),
-         "round 0 lists detected events [1], event_detect_round gives []"),
+         "round 0 has detected [1], the rebuilt run has []"),
         (lambda r: r["rounds"][36]["detected"].clear(),
-         "round 36 lists detected events [], event_detect_round gives [0]"),
+         "round 36 has detected [], the rebuilt run has [0]"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1.7), "round 0 selects 1.7, which is not a node id"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, True), "round 0 selects True, which is not a node id"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, 2 ** 70),
          "malformed record: Python int too large to convert to C long"),
         (lambda r: r["rounds"][0]["feedback"].__setitem__(0, "0.5"), "round 0 has feedback '0.5', which is not a number"),
         (lambda r: r["rounds"][0]["feedback"].__setitem__(0, False), "round 0 has feedback False, which is not a number"),
-        (lambda r: r["rounds"][3].__setitem__("spent", "1.5"), "round 3 has spent '1.5', which is not a number"),
-        (lambda r: r["rounds"][3].__setitem__("spent", True), "round 3 has spent True, which is not a number"),
+        (lambda r: r["rounds"][3].__setitem__("spent", "1.5"),
+         "round 3 has spent '1.5', the rebuilt run has 3.3135456233081038"),
+        (lambda r: r["rounds"][3].__setitem__("spent", True),
+         "round 3 has spent True, the rebuilt run has 3.3135456233081038"),
         (lambda r: r["rounds"][2].__setitem__("budget", None), "round 2 has budget None, which is not a number"),
         (lambda r: r["rounds"][1].__setitem__("mean_reward", [0.1]),
-         "round 1 has mean_reward [0.1], which is not a number"),
-        (lambda r: r.update(total_spent=r["total_spent"] * 100), "total_spent is not the sum of the rounds' spent"),
-        (lambda r: r.update(activation_counts=[0] * 6),
-         "activation_counts of node 0 disagrees with the rounds' selections"),
-        (lambda r: r.update(final_battery=[1.0] * 6), "final_battery of node 0 disagrees with the rounds' selections"),
+         "round 1 has mean_reward [0.1], the rebuilt run has -0.4882035619722818"),
+        (lambda r: r.update(total_spent=r["total_spent"] * 100),
+         "total_spent is 32709.24147520715, the rebuilt run has 327.0924147520715"),
+        (lambda r: r.update(activation_counts=[0] * 6), "node 0 has activation_counts 0, the rebuilt run has 40"),
+        (lambda r: r.update(final_battery=[1.0] * 6),
+         "node 0 has final_battery 1.0, the rebuilt run has 21540.396146077524"),
         (_drained(lambda r: r.update(death_round=[10 ** 6] * 6)),
-         "death_round of node 0 disagrees with the rounds' selections"),
-        (_drained(lambda r: r.update(death_round=[-1] * 6)), "death_round of node 0 disagrees with the rounds' selections"),
+         "node 0 has death_round 1000000, the rebuilt run has 180"),
+        (_drained(lambda r: r.update(death_round=[-1] * 6)), "node 0 has death_round -1, the rebuilt run has 180"),
         (_drained(lambda r: _shrink_battery(r, 100.0)), "node 0 is selected 181 times, more than its battery funds"),
-        (_drained(_double_spent), "round 0 has spent 7.828038305577554, its selected nodes cost 3.914019152788777"),
-        (_drained(_clear_detections), "event 0 has event_detect_round -1, the rounds' feedback gives 95"),
+        (_drained(_double_spent), "round 0 has spent 7.828038305577554, the rebuilt run has 3.914019152788777"),
+        (_drained(_clear_detections), "event 0 has event_detect_round -1, the rebuilt run has 95"),
         (_drained(lambda r: r.update(energy_cost=[repr(c) for c in r["energy_cost"]])),
          "energy_cost of node 0 is '0.8251511510959112', which is not a number"),
-        (_drained(lambda r: r["zone_of"].__setitem__(5, 1.5)), "zone_of of node 5 is 1.5, which is not an int"),
-        (_drained(lambda r: r["zone_of"].__setitem__(0, False)), "zone_of of node 0 is False, which is not an int"),
+        (_drained(lambda r: r["zone_of"].__setitem__(5, 1.5)), "node 5 has zone_of 1.5, the rebuilt run has 1"),
+        (_drained(lambda r: r["zone_of"].__setitem__(0, False)), "node 0 has zone_of False, the rebuilt run has 0"),
         (_drained(lambda r: r["activation_counts"].__setitem__(1, 86.0)),
-         "activation_counts of node 1 is 86.0, which is not an int"),
-        (_drained(lambda r: r["death_round"].__setitem__(4, True)), "death_round of node 4 is True, which is not an int"),
+         "node 1 has activation_counts 86.0, the rebuilt run has 86"),
+        (_drained(lambda r: r["death_round"].__setitem__(4, True)),
+         "node 4 has death_round True, the rebuilt run has -1"),
         (_drained(lambda r: r["final_battery"].__setitem__(3, None)),
-         "final_battery of node 3 is None, which is not a number"),
+         "node 3 has final_battery None, the rebuilt run has 0.8924198557850787"),
         (_drained(lambda r: r["final_utilities"].__setitem__(2, "0.5")),
          "final_utilities of node 2 is '0.5', which is not a number"),
         (_drained(lambda r: r["final_ucb_means"].__setitem__(4, True)),
          "final_ucb_means of node 4 is True, which is not a number"),
         (lambda r: r.update(n_budgeted_selections=r["n_budgeted_selections"] + 1),
-         "n_budgeted_selections is 193, the policy and config give 192"),
-        (lambda r: r.update(policy="static"), "n_budgeted_selections is 192, the policy and config give 0"),
+         "n_budgeted_selections is 193, the rebuilt run has 192"),
+        (lambda r: r.update(policy="static"), "n_budgeted_selections is 192, the rebuilt run has 0"),
         (lambda r: r.update(policy="greedy"), "unknown policy 'greedy' (valid: static, periodic, ucb, adaptive)"),
         (lambda r: r["config"].update(rounds=10), "config.rounds is 10, the record has 96 rounds"),
-        (lambda r: r["config"].update(nodes_per_zone=5), "zone_of is not the layout of the config's 2 zones of 5 nodes"),
-        (lambda r: r["config"].update(n_zones=3), "zone_of is not the layout of the config's 3 zones of 3 nodes"),
+        (lambda r: r["config"].update(nodes_per_zone=5), "energy_cost has 6 entries, the config has 10 nodes"),
+        (lambda r: r["config"].update(n_zones=3), "energy_cost has 6 entries, the config has 9 nodes"),
         (lambda r: r["config"].update(noise_sigma=-1.0), "noise_sigma must be in [0, 1], got -1.0"),
         (lambda r: r["config"].pop("hierarchy"), "missing key 'hierarchy'"),
         (lambda r: r["config"].update(volts=3), "config has keys SimConfig does not know: ['volts']"),
         (lambda r: r["config"].update(energy_cost_range=[1.5, 1.75]),
          "energy_cost of node 0 is 1.4900963480618716, outside energy_cost_range [1.5, 1.75]"),
         (lambda r: r["rounds"][1].__setitem__("mean_reward", 0.25),
-         "round 1 has mean_reward 0.25, its selected nodes' mean reward is -0.4882035619722818"),
+         "round 1 has mean_reward 0.25, the rebuilt run has -0.4882035619722818"),
         (_static(lambda r: r["rounds"][1].__setitem__("mean_reward", 0.25)),
-         "round 1 has mean_reward 0.25, its selected nodes' mean reward is -0.5717086060981902"),
+         "round 1 has mean_reward 0.25, the rebuilt run has -0.5717086060981902"),
         (_static(lambda r: r["rounds"][2].__setitem__("budget", 10.0)),
-         "round 2 has budget 10.0, a fixed schedule's budget is its spent 7.577414949702322"),
+         "round 2 has budget 10.0, the rebuilt run has 7.577414949702322"),
         (lambda r: r.update(seed="x"), "seed is 'x', which is not an int"),
         (lambda r: r.update(seed=True), "seed is True, which is not an int"),
         (lambda r: r.update(seed=2 ** 70), "seed must be in [0, 2**64), got 1180591620717411303424"),
         (lambda r: r.update(max_budget_violation="oops"),
          "max_budget_violation is 'oops', which is not a finite number >= 0"),
         (_static(lambda r: r.update(max_budget_violation=5.0)),
-         "max_budget_violation is 5.0, a static run never overspends"),
+         "max_budget_violation is 5.0, the rebuilt run has 0.0"),
         (lambda r: r["events"][0].update(zone_id=True), "event 0 has zone_id True, which is not an int"),
         (lambda r: r["events"][1].update(magnitude=float("nan")),
          "event 1 has magnitude nan, which is not a finite number"),
@@ -440,6 +444,25 @@ class TestReport:
         (lambda r: r["rounds"][0]["feedback"].__setitem__(0, 1.5), "round 0 has feedback 1.5, outside [0, 1]"),
         (lambda r: r["rounds"][2].__setitem__("budget", float("nan")),
          "round 2 has budget nan, which is not a finite number >= 0"),
+        (lambda r: r["config"].update(hierarchy=1), "config.hierarchy is 1, which is not a bool"),
+        (lambda r: r["config"].update(rounds=96.0), "config.rounds is 96.0, which is not an int"),
+        (lambda r: r["config"].update(seed=1.5), "config.seed is 1.5, which is not an int"),
+        (lambda r: r["config"].update(seed=True), "config.seed is True, which is not an int"),
+        (lambda r: r["config"].update(battery_capacity=True),
+         "config.battery_capacity is True, which is not a number"),
+        (lambda r: r["config"].update(energy_cost_range=[0.75]),
+         "config.energy_cost_range is [0.75], which is not two numbers"),
+        (lambda r: r["config"].update(energy_cost_range=[0.75, "1.75"]),
+         "config.energy_cost_range is [0.75, '1.75'], which is not two numbers"),
+        (lambda r: r["rounds"][1].__setitem__("round", True), "round 1 has round True, the rebuilt run has 1"),
+        (lambda r: r.update(n_budgeted_selections=192.0), "n_budgeted_selections is 192.0, the rebuilt run has 192"),
+        (lambda r: r.update(event_detected=[1, 1]), "event 0 has event_detected 1, the rebuilt run has True"),
+        (lambda r: r["rounds"][36].__setitem__("detected", [0.0]),
+         "round 36 has detected [0.0], the rebuilt run has [0]"),
+        (_static(lambda r: r.update(max_budget_violation=0)), "max_budget_violation is 0, the rebuilt run has 0.0"),
+        (lambda r: r["event_detected"].append(None),
+         "event_detected is [True, True, None], the rebuilt run has [True, True]"),
+        (lambda r: r.update(zone_of=5), "zone_of is 5, the rebuilt run has [0, 0, 0, 1, 1, 1]"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
@@ -454,7 +477,11 @@ class TestReport:
             "config-invalid", "config-without-hierarchy", "config-unknown-key", "config-costs-outside-range",
             "mean-reward-edited", "static-mean-reward-edited", "static-budget-not-spent", "seed-string",
             "seed-bool", "seed-past-64-bits", "max-violation-string", "static-max-violation", "event-zone-bool",
-            "event-magnitude-nan", "trace-hash-int", "feedback-above-one", "budget-nan"])
+            "event-magnitude-nan", "trace-hash-int", "feedback-above-one", "budget-nan", "config-hierarchy-int",
+            "config-rounds-float", "config-seed-float", "config-seed-bool", "config-capacity-bool",
+            "config-cost-range-short", "config-cost-range-string", "round-numbered-true",
+            "budgeted-selections-float", "detected-flags-ints", "detection-listed-as-float",
+            "static-max-violation-int", "detected-flags-extra-null", "zone_of-not-a-list"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
         n_selected = len(record["rounds"][0]["selected"])

@@ -9,7 +9,9 @@ node dies a budgeted policy reads a subset of what static reads. A
 budgeted selection is fundable and fits its budget. Without reading noise,
 static's feedback is the trace's alone, whatever the run seed. Detection is
 what a replay of the round logs finds. With one zone, the per-zone budget
-split is the fleet-wide budget. A run's record loads as that run.
+split is the fleet-wide budget. A run's record loads as that run, and no
+longer loads once a derived entry is swapped for an equal value of another
+JSON type.
 """
 
 import dataclasses
@@ -257,3 +259,49 @@ def test_a_record_loads_as_the_run_it_was_saved_from(cfg):
                 assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
             else:
                 assert repr(got) == repr(want), field.name
+
+
+def retyped(value):
+    """The value of the other JSON type that equals value (an int for a
+    bool, a float for an int, an int for a whole float), else None."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int:
+        return float(value)
+    return int(value) if value.is_integer() else None
+
+
+def derived_entries(record):
+    """Each derived entry of a run record as (field, holder, index or key)."""
+    for key in ("n_budgeted_selections", "max_budget_violation", "total_spent"):
+        yield key, record, key
+    for key in ("zone_of", "activation_counts", "final_battery", "death_round", "event_detect_round", "event_detected"):
+        yield from ((key, record[key], i) for i in range(len(record[key])))
+    for r in record["rounds"]:
+        yield from ((key, r, key) for key in ("round", "spent", "mean_reward", "budget"))
+        yield from (("detected", r["detected"], i) for i in range(len(r["detected"])))
+
+
+@settings(max_examples=25)
+@given(cfg=st.one_of(fixed_worlds(), budgeted_worlds()), data=st.data())
+def test_a_derived_entry_of_another_json_type_does_not_load(cfg, data):
+    # unit costs and a reward of -1 a read node make every spend, charge and
+    # mean reward a whole number, which an int can equal
+    cfg = cfg.replace(energy_cost_range=(1.0, 1.0), alpha=0.0, beta=1.0)
+    traces = fixed_world_traces(cfg)
+    for policy in POLICY_ORDER:
+        record = run_simulation(cfg, traces, policy).to_dict()
+        slots = {}
+        for key, holder, at in derived_entries(record):
+            if retyped(holder[at]) is not None:
+                slots.setdefault(key, []).append((holder, at))
+        # a budgeted run's budgets are its split's, and only a detection is listed
+        assert set(slots) >= {key for key, _, _ in derived_entries(record)} - {"budget", "detected"}, policy
+        for key, entries in slots.items():
+            holder, at = entries[data.draw(st.integers(0, len(entries) - 1), label=f"{policy} {key}")]
+            value, holder[at] = holder[at], retyped(holder[at])
+            with pytest.raises(ValueError) as err:
+                engine.run_from_dict(record)
+            message = str(err.value)
+            assert f"has {key} " in message or message.startswith(f"{key} is "), message
+            holder[at] = value
