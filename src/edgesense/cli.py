@@ -273,12 +273,13 @@ def _cmd_report(args) -> int:
             d = json.load(fh)
         fmt = d.get("format", "")
         if fmt == metrics.COMPARISON_FORMAT:
+            comp = metrics.from_json_dict(d)  # type-checks the record whatever the format
             if args.format == "json":
                 out = stable_json(d)
             elif args.format == "csv":
-                out = metrics.render_summary_csv(metrics.from_json_dict(d))
+                out = metrics.render_summary_csv(comp)
             else:
-                out = metrics.render_text(metrics.from_json_dict(d))
+                out = metrics.render_text(comp)
         elif fmt == engine.RUN_FORMAT:
             run = engine.run_from_dict(d)
             if args.format == "json":

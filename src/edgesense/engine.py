@@ -15,7 +15,7 @@ round's draws. Reordering policies or rerunning cannot shift anybody's noise.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial, reduce
@@ -778,7 +778,7 @@ def run_from_dict(d: dict) -> RunResult:
         raise ValueError(problem)
     if type(trace_hash) is not str:
         raise ValueError(f"trace_hash is {trace_hash!r}, which is not a string")
-    if type(violation) not in (int, float) or not 0 <= violation < math.inf:
+    if type(violation) not in (int, float) or not 0 <= violation <= sys.float_info.max:
         raise ValueError(f"max_budget_violation is {violation!r}, which is not a finite number >= 0")
     config = d["config"]
     for f in fields(SimConfig):  # each config value has its field's JSON type: 1 is no bool, 96.0 no int
@@ -787,14 +787,21 @@ def run_from_dict(d: dict) -> RunResult:
         if not (type(value) is list and len(value) == 2 and set(map(type, value)) <= types if pair
                 else type(value) in types):
             raise ValueError(f"config.{f.name} is {value!r}, which is not {'two numbers' if pair else kind}")
+        if f.type == "float" and type(value) is int and not _finite(value):  # Infinity is a valid float
+            raise ValueError(f"config.{f.name} is {value!r}, which is past the float range")
     cfg = require_valid(SimConfig(**{f.name: config[f.name] for f in fields(SimConfig)}))
     if len(config) != len(fields(SimConfig)):
         raise ValueError(f"config has keys SimConfig does not know: {sorted(set(config) - set(cfg.to_dict()))}")
     n = cfg.n_nodes
     for key, values in nodes.items():  # JSON numbers load as ints and floats; numpy takes strings and bools too
+        if type(values) is not list:
+            raise ValueError(f"{key} is {values!r}, which is not a list")
         if not set(map(type, values)) <= {int, float}:
             node, value = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
             raise ValueError(f"{key} of node {node} is {value!r}, which is not a number")
+        if not all(map(_finite, values)):
+            node, value = next((i, v) for i, v in enumerate(values) if not _finite(v))
+            raise ValueError(f"{key} of node {node} is {value!r}, which is not a finite number")
         if len(values) != n:
             raise ValueError(f"{key} has {len(values)} entries, the config has {n} nodes")
     costs = np.asarray(nodes["energy_cost"], dtype=np.float64)
@@ -803,21 +810,35 @@ def run_from_dict(d: dict) -> RunResult:
     if outside.size:
         raise ValueError(f"energy_cost of node {outside[0]} is {nodes['energy_cost'][outside[0]]!r}, "
                          f"outside energy_cost_range [{lo}, {hi}]")
-    if len(rounds := d["rounds"]) != cfg.rounds:
+    rounds, raw_events = d["rounds"], d["events"]
+    for key, entries, entry in (("rounds", rounds, "round"), ("events", raw_events, "event")):
+        if type(entries) is not list:
+            raise ValueError(f"{key} is {entries!r}, which is not a list")
+        if not all(type(e) is dict for e in entries):
+            idx, e = next((idx, e) for idx, e in enumerate(entries) if type(e) is not dict)
+            raise ValueError(f"{entry} {idx} is {e!r}, which is not an object")
+    if len(rounds) != cfg.rounds:
         raise ValueError(f"config.rounds is {cfg.rounds}, the record has {len(rounds)} rounds")
+    for t, r in enumerate(rounds):
+        for key in ("selected", "feedback"):
+            if type(r[key]) is not list:
+                raise ValueError(f"round {t} has {key} {r[key]!r}, which is not a list")
+        if len(r["feedback"]) != len(r["selected"]):
+            raise ValueError(f"round {t} has {len(r['feedback'])} feedback values "
+                             f"for {len(r['selected'])} selected nodes")
     ids = list(chain.from_iterable(r["selected"] for r in rounds))
     if not set(map(type, ids)) <= {int}:
         t, value = next((t, i) for t, r in enumerate(rounds) for i in r["selected"] if type(i) is not int)
         raise ValueError(f"round {t} selects {value!r}, which is not a node id")
     feedback, budget = list(chain.from_iterable(r["feedback"] for r in rounds)), [r["budget"] for r in rounds]
+
+    def first_round_value(bad):  # (round, key, value) of the first feedback or budget value that is bad
+        return next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", "budget")
+                    for v in (r[k] if k == "feedback" else [r[k]]) if bad(v))
+
     if not set(map(type, chain(feedback, budget))) <= {int, float}:
-        t, key, value = next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", "budget")
-                             for v in (r[k] if k == "feedback" else [r[k]]) if type(v) not in (int, float))
+        t, key, value = first_round_value(lambda v: type(v) not in (int, float))
         raise ValueError(f"round {t} has {key} {value!r}, which is not a number")
-    for t, r in enumerate(rounds):
-        if len(r["feedback"]) != len(r["selected"]):
-            raise ValueError(f"round {t} has {len(r['feedback'])} feedback values "
-                             f"for {len(r['selected'])} selected nodes")
     selected = np.fromiter(ids, dtype=np.int64, count=len(ids))
     n_selected = np.array([len(r["selected"]) for r in rounds], dtype=np.int64)
     ends = np.cumsum(n_selected)
@@ -825,8 +846,12 @@ def run_from_dict(d: dict) -> RunResult:
     if outside.size:
         raise ValueError(f"round {np.searchsorted(ends, outside[0], side='right')} selects a node outside 0..{n - 1}")
     selected = selected.astype(np.int32)  # each id names a node, so the cast keeps it
-    columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
-                   n_selected=n_selected, budget=np.array(budget, dtype=np.float64))
+    try:
+        columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
+                       n_selected=n_selected, budget=np.array(budget, dtype=np.float64))
+    except OverflowError:  # an int past the float range
+        t, key, value = first_round_value(lambda v: not _finite(v))
+        raise ValueError(f"round {t} has {key} {value!r}, which is not a finite number") from None
     # feedback as feedback_proxy gives it, budgets as select_budgeted takes them
     outside = np.flatnonzero(~((0 <= columns["feedback"]) & (columns["feedback"] <= 1)))
     if outside.size:
@@ -842,11 +867,11 @@ def run_from_dict(d: dict) -> RunResult:
     if over.size:
         raise ValueError(f"node {over[0]} is selected {counts[over[0]]} times, more than its battery funds")
     events = []
-    for idx, e in enumerate(d["events"]):
+    for idx, e in enumerate(raw_events):
         for key in ("zone_id", "start_round", "end_round"):
             if type(e[key]) is not int:
                 raise ValueError(f"event {idx} has {key} {e[key]!r}, which is not an int")
-        if type(e["magnitude"]) not in (int, float) or not abs(e["magnitude"]) < math.inf:
+        if type(e["magnitude"]) not in (int, float) or not _finite(e["magnitude"]):
             raise ValueError(f"event {idx} has magnitude {e['magnitude']!r}, which is not a finite number")
         events.append(EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]),
                                 e["magnitude"]))
@@ -877,6 +902,13 @@ def run_from_dict(d: dict) -> RunResult:
             place = f"{subject} {idx} has {key}" if subject and idx is not None else f"{key} is"
             raise ValueError(f"{place} {got!r}, the rebuilt run has {want!r}")
     return run
+
+
+def _finite(value) -> bool:
+    """Whether a JSON number, an int or a float, is finite as a float. NaN
+    is not, and neither is an int past the float range, although it
+    compares below inf."""
+    return abs(value) <= sys.float_info.max
 
 
 def _json_types(values: list) -> set:

@@ -8,20 +8,15 @@ zone stays local to that zone's candidates.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-log = logging.getLogger("edgesense.hierarchy")
 
 
 def normalize_max(values: np.ndarray) -> np.ndarray:
     """Scale non-negative values by the maximum so the largest maps to 1: a
     vector by its maximum, an array column by column along axis 0. An
-    all-zero vector or column normalizes to all zeros."""
+    all-zero vector or column normalizes to all zeros. Takes at least one
+    value."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return values.copy()
     if values.ndim < 2:
         top = values.max()
         return values / top if top > 0 else np.zeros_like(values)
@@ -40,8 +35,6 @@ def scalarize(per_pollutant: np.ndarray) -> np.ndarray:
     measured in large units cannot drown out the others, then averaged.
     """
     per_pollutant = np.asarray(per_pollutant, dtype=np.float64)
-    if per_pollutant.ndim not in (2, 3):
-        raise ValueError(f"expected [zones, pollutants] or [zones, k, pollutants], got shape {per_pollutant.shape}")
     # the mean over the last axis, spelled out: np.mean's wrapper costs more than the sum
     return np.add.reduce(normalize_max(per_pollutant), axis=-1) / per_pollutant.shape[-1]
 
@@ -56,21 +49,9 @@ def zone_interest_weights(trend_magnitude: np.ndarray, recent_level: np.ndarray)
 
 
 def allocate_budgets(global_budget: float, weights) -> np.ndarray:
-    """Split the global budget across zones proportionally to weight; returns
-    one budget per zone, in weight order.
-
-    All-zero weights fall back to an equal split (with a warning), so the
-    budget is always fully assigned.
-    """
-    if global_budget < 0:
-        raise ValueError(f"global_budget must be >= 0, got {global_budget}")
+    """Split a finite, non-negative global budget across zones proportionally
+    to weight; returns one budget per zone, in weight order. Takes a
+    non-empty 1-d sequence of positive weights (zone_interest_weights gives
+    each zone at least 1), so the budget is always fully assigned."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d sequence")
-    if w.min() < 0:
-        raise ValueError("weights must be non-negative")
-    total = float(w.sum())
-    if total <= 0.0:
-        log.warning("all zone weights are zero; splitting budget equally")
-        return np.full(w.size, global_budget / w.size)
-    return global_budget * (w / total)
+    return global_budget * (w / float(w.sum()))

@@ -25,17 +25,13 @@ COMPARISON_FORMAT = "edgesense-comparison/1"
 def lifetime_estimate(battery_capacity: float, daily_energy: float) -> float:
     """Projected days until a node at the average spend rate empties its
     battery, rounded half away from zero. Zero spend means no horizon, and
-    so does a horizon beyond the float range."""
-    if daily_energy < 0:
-        raise ValueError(f"daily_energy must be >= 0, got {daily_energy}")
+    so does a horizon beyond the float range. Takes a spend of at least 0."""
     days = battery_capacity / daily_energy if daily_energy else math.inf
     return float(math.floor(days + 0.5)) if days < math.inf else math.inf
 
 
 def percent_change(value: float, baseline: float) -> float:
-    """Signed percent change of value relative to baseline."""
-    if baseline == 0:
-        raise ValueError("baseline must be nonzero")
+    """Signed percent change of value relative to a nonzero baseline."""
     return (value - baseline) / baseline * 100.0
 
 
@@ -292,8 +288,27 @@ def to_json_dict(comp: Comparison) -> dict:
 
 
 def from_json_dict(d: dict) -> Comparison:
-    """Rebuild a Comparison's summaries from to_json_dict output. per_run is
+    """Rebuild a Comparison's summaries from to_json_dict output, or raise
+    ValueError naming the first field whose JSON type is wrong. per_run is
     left empty: the text and summary CSV renderers do not read it."""
+    number, nullable = ({int, float}, "a number"), ({int, float, type(None)}, "a number or null")
+    kinds = dict(policy=({str}, "a string"), n_seeds=({int}, "an int"), avg_daily_energy_mAh=number,
+                 avg_daily_energy_std=number, detection_rate=nullable, detection_rate_std=nullable,
+                 lifetime_days=nullable, energy_reduction_pct=nullable, detection_delta_pp=nullable,
+                 lifetime_extension_pct=nullable, first_death_day=({int, type(None)}, "an int or null"),
+                 mean_selected_per_round=number)
+    if type(d["policies"]) is not list:
+        raise ValueError(f"policies is {d['policies']!r}, which is not a list")
+    for idx, p in enumerate(d["policies"]):
+        if type(p) is not dict:
+            raise ValueError(f"policies entry {idx} is {p!r}, which is not an object")
+        for key, (types, kind) in kinds.items():  # type(), so true is no int
+            if type(p[key]) not in types:
+                raise ValueError(f"policies entry {idx} has {key} {p[key]!r}, which is not {kind}")
+    if type(d["seeds"]) is not list or not set(map(type, d["seeds"])) <= {int}:
+        raise ValueError(f"seeds is {d['seeds']!r}, which is not a list of ints")
+    if type(d["trace_hash"]) is not str:
+        raise ValueError(f"trace_hash is {d['trace_hash']!r}, which is not a string")
     summaries = [
         PolicySummary(
             policy=p["policy"],

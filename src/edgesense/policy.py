@@ -66,9 +66,7 @@ def normalized_payoff(info_gain, energy_cost, alpha: float, beta: float, max_ene
 def update_utility(utility, feedback, eta: float):
     """Exponential moving average of feedback, which must already lie in
     [0, 1] (feedback_proxy guarantees it); the result then stays in [0, 1].
-    Scalars or arrays (elementwise)."""
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    Scalars or arrays (elementwise). Takes eta in (0, 1]."""
     return (1.0 - eta) * utility + eta * feedback
 
 
@@ -110,13 +108,9 @@ def select_budgeted(
     scanned in Python. Both subtract and add the same floats in the same
     order, so they admit the same ids and report the same costs.
     """
-    if not 0 <= min(budgets) <= max(budgets) < math.inf:
-        raise ValueError(f"budgets must be finite and >= 0, got {budgets}")
     scores = np.asarray(scores, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
     n, n_clusters = costs.size, len(budgets)
-    if n % n_clusters:
-        raise ValueError(f"{n} nodes do not split into {n_clusters} equal clusters")
     width = n // n_clusters
     eligible = np.zeros(n, dtype=bool)
     eligible[np.asarray(candidates, dtype=np.int64)] = True
@@ -193,11 +187,8 @@ def select_static(node_ids) -> np.ndarray:
 def select_periodic(node_ids, round_index: int, period: int, duty: int) -> np.ndarray:
     """Duty-cycled activation with per-node phase stagger: the ids (int64,
     in the order given) of the nodes n with (round + n) mod period < duty.
-    Costs do not enter the choice, as in select_static."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    if not (0 <= duty <= period):
-        raise ValueError(f"duty must be in [0, period], got {duty}")
+    Costs do not enter the choice, as in select_static. Takes a period of
+    at least 1 and a duty in [0, period]."""
     ids = np.asarray(node_ids, dtype=np.int64)
     return ids[(round_index + ids) % period < duty]
 
@@ -205,13 +196,9 @@ def select_periodic(node_ids, round_index: int, period: int, duty: int) -> np.nd
 def ucb_scores(means, counts, energy_cost, round_index: int, c: float) -> np.ndarray:
     """Cost-normalized UCB index per node: (mean + c * sqrt(2 ln t / count))
     / E, +inf for untried nodes so every node is sampled before any
-    exploitation; round_index t is 1-based."""
-    if round_index < 1:
-        raise ValueError(f"round_index must be >= 1, got {round_index}")
+    exploitation; round_index t is 1-based and every cost positive."""
     counts = np.asarray(counts, dtype=np.float64)
     costs = np.asarray(energy_cost, dtype=np.float64)
-    if costs.size and costs.min() <= 0:
-        raise ValueError("energy costs must be > 0")
     bonus = c * np.sqrt(2.0 * math.log(round_index) / np.maximum(counts, 1.0))
     index = np.where(counts > 0, np.asarray(means, dtype=np.float64) + bonus, np.inf)
     return index / costs

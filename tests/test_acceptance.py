@@ -187,7 +187,7 @@ def test_7_utility_update_stays_bounded(capsys):
 def test_8_compare_cli_is_byte_deterministic(tmp_path, capsys):
     def invoke(out_dir):
         argv = [
-            sys.executable, "-m", "edgesense", "compare", "--synthetic",
+            sys.executable, "-W", "error::RuntimeWarning", "-m", "edgesense", "compare", "--synthetic",
             "--set", "n_zones=4", "--set", "nodes_per_zone=10", "--set", "rounds=960",
             "--seeds", "1..2", "--out", str(out_dir),
         ]

@@ -25,6 +25,8 @@ from edgesense.cli import parse_seed_list
 from edgesense.core import Pollutant, load_config
 from edgesense.policy import PolicyKind
 
+PAST_FLOAT = 10 ** 400  # a JSON number past the float range
+
 CONFIG_TEXT = """\
 # small world so every invocation stays fast
 n_zones = 2
@@ -35,13 +37,15 @@ round_minutes = 15
 
 
 def run_cli(*argv, log="quiet"):
+    """Run `python -m edgesense` with a RuntimeWarning as an error, as the
+    suite's filterwarnings makes it for in-process code."""
     env = os.environ.copy()
     if log is None:
         env.pop("EDGESENSE_LOG", None)
     else:
         env["EDGESENSE_LOG"] = log
     return subprocess.run(
-        [sys.executable, "-m", "edgesense", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "edgesense", *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -337,6 +341,32 @@ class TestReport:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {path}: {problem}"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda d: d["policies"][1].update(detection_rate=True),
+         "policies entry 1 has detection_rate True, which is not a number or null"),
+        (lambda d: d["policies"][0].update(n_seeds="two"), "policies entry 0 has n_seeds 'two', which is not an int"),
+        (lambda d: d["policies"][0].update(n_seeds=True), "policies entry 0 has n_seeds True, which is not an int"),
+        (lambda d: d["policies"][1].update(policy=5), "policies entry 1 has policy 5, which is not a string"),
+        (lambda d: d["policies"][0].update(avg_daily_energy_std=None),
+         "policies entry 0 has avg_daily_energy_std None, which is not a number"),
+        (lambda d: d["policies"][0].update(first_death_day=1.5),
+         "policies entry 0 has first_death_day 1.5, which is not an int or null"),
+        (lambda d: d["policies"].__setitem__(0, 5), "policies entry 0 is 5, which is not an object"),
+        (lambda d: d.update(policies=5), "policies is 5, which is not a list"),
+        (lambda d: d.update(seeds=[1, "2"]), "seeds is [1, '2'], which is not a list of ints"),
+        (lambda d: d.update(trace_hash=5), "trace_hash is 5, which is not a string"),
+    ], ids=["detection-rate-bool", "n-seeds-string", "n-seeds-bool", "policy-int", "energy-std-null",
+            "first-death-day-float", "policy-entry-int", "policies-int", "seed-string", "trace-hash-int"])
+    def test_comparison_of_wrong_json_types_exits_two(self, artifacts, tmp_path, edit, problem, fmt):
+        record = json.loads(_read(os.path.join(artifacts["cmp_dir"], "summary.json")))
+        edit(record)
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(record))
+        proc = run_cli("report", "--in", str(path), "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {path}: {problem}"]
+
     def test_run_record_whose_config_is_not_an_object_exits_two(self, artifacts, tmp_path):
         record = json.loads(_read(artifacts["run_json"]))
         record["config"] = []
@@ -463,6 +493,28 @@ class TestReport:
         (lambda r: r["event_detected"].append(None),
          "event_detected is [True, True, None], the rebuilt run has [True, True]"),
         (lambda r: r.update(zone_of=5), "zone_of is 5, the rebuilt run has [0, 0, 0, 1, 1, 1]"),
+        (lambda r: r.update(events=5), "events is 5, which is not a list"),
+        (lambda r: r.update(rounds=5), "rounds is 5, which is not a list"),
+        (lambda r: r["rounds"].__setitem__(3, 5), "round 3 is 5, which is not an object"),
+        (lambda r: r["events"].__setitem__(1, 5), "event 1 is 5, which is not an object"),
+        (lambda r: r["rounds"][0].update(selected=5), "round 0 has selected 5, which is not a list"),
+        (lambda r: r["rounds"][0].update(feedback=5), "round 0 has feedback 5, which is not a list"),
+        (lambda r: r.update(energy_cost=5), "energy_cost is 5, which is not a list"),
+        (lambda r: r.update(final_utilities=5), "final_utilities is 5, which is not a list"),
+        (lambda r: r.update(final_ucb_means=5), "final_ucb_means is 5, which is not a list"),
+        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, PAST_FLOAT),
+         f"round 0 has feedback {PAST_FLOAT}, which is not a finite number"),
+        (lambda r: r["rounds"][2].update(budget=PAST_FLOAT), f"round 2 has budget {PAST_FLOAT}, which is not a finite number"),
+        (lambda r: r["energy_cost"].__setitem__(1, PAST_FLOAT), f"energy_cost of node 1 is {PAST_FLOAT}, which is not a finite number"),
+        (lambda r: r["final_utilities"].__setitem__(2, PAST_FLOAT),
+         f"final_utilities of node 2 is {PAST_FLOAT}, which is not a finite number"),
+        (lambda r: r["final_ucb_means"].__setitem__(4, float("nan")),
+         "final_ucb_means of node 4 is nan, which is not a finite number"),
+        (lambda r: r.update(max_budget_violation=PAST_FLOAT),
+         f"max_budget_violation is {PAST_FLOAT}, which is not a finite number >= 0"),
+        (lambda r: r["events"][1].update(magnitude=PAST_FLOAT), f"event 1 has magnitude {PAST_FLOAT}, which is not a finite number"),
+        (lambda r: r["config"].update(battery_capacity=PAST_FLOAT),
+         f"config.battery_capacity is {PAST_FLOAT}, which is past the float range"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
@@ -481,7 +533,13 @@ class TestReport:
             "config-rounds-float", "config-seed-float", "config-seed-bool", "config-capacity-bool",
             "config-cost-range-short", "config-cost-range-string", "round-numbered-true",
             "budgeted-selections-float", "detected-flags-ints", "detection-listed-as-float",
-            "static-max-violation-int", "detected-flags-extra-null", "zone_of-not-a-list"])
+            "static-max-violation-int", "detected-flags-extra-null", "zone_of-not-a-list", "events-not-a-list",
+            "rounds-not-a-list", "round-not-an-object", "event-not-an-object", "selected-not-a-list",
+            "feedback-not-a-list", "energy-cost-not-a-list", "final-utilities-not-a-list",
+            "final-ucb-means-not-a-list", "feedback-past-float-range", "budget-past-float-range",
+            "energy-cost-past-float-range", "final-utility-past-float-range", "final-ucb-mean-nan",
+            "max-violation-past-float-range", "event-magnitude-past-float-range",
+            "config-capacity-past-float-range"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
         n_selected = len(record["rounds"][0]["selected"])

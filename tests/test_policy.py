@@ -49,11 +49,6 @@ class TestScoring:
     def test_update_utility_full_rate_returns_feedback(self):
         assert update_utility(0.3, 0.9, eta=1.0) == 0.9
 
-    def test_update_utility_rejects_bad_eta(self):
-        for eta in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                update_utility(0.5, 0.5, eta)
-
     @given(
         utility=st.floats(0.0, 1.0),
         feedback=st.floats(0.0, 1.0),
@@ -124,14 +119,6 @@ class TestSelectBudgeted:
         res = select_budgeted([0], [1.0], [0.5], [0.0])
         assert list(res.selected) == []
         assert list(res.cluster_cost) == [0.0]
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            select_budgeted([], [], [], [-1.0])
-
-    def test_infinite_budget_rejected(self):
-        with pytest.raises(ValueError):
-            select_budgeted([0], [1.0], [1.0], [math.inf])
 
     def test_exact_fit_admits_everything(self):
         res = select_budgeted([0, 1], [3.0, 2.0], [1.5, 2.5], [4.0])
@@ -299,12 +286,6 @@ class TestSelectPeriodic:
         assert list(select_periodic(ids, 3, period=5, duty=0)) == []
         assert list(select_periodic(ids, 3, period=5, duty=5)) == [0, 1, 2]
 
-    def test_validates_period_and_duty(self):
-        with pytest.raises(ValueError):
-            select_periodic([0], 0, period=0, duty=0)
-        with pytest.raises(ValueError):
-            select_periodic([0], 0, period=5, duty=6)
-
 
 def ranked_select(scores, costs, budget, score_floor=0.0):
     """Budgeted admission over per-node scores, every node a candidate in
@@ -337,12 +318,6 @@ class TestUcb:
         ])
         assert np.array_equal(got, want)
         assert np.isinf(got[counts == 0]).all()
-
-    def test_vector_scores_validate_inputs(self):
-        with pytest.raises(ValueError):
-            ucb_scores([0.0], [1], [1.0], 0, 1.0)
-        with pytest.raises(ValueError):
-            ucb_scores([0.0], [1], [0.0], 5, 1.0)
 
     def test_select_ucb_cold_start_fills_budget_by_id(self):
         n = 6

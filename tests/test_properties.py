@@ -9,12 +9,14 @@ node dies a budgeted policy reads a subset of what static reads. A
 budgeted selection is fundable and fits its budget. Without reading noise,
 static's feedback is the trace's alone, whatever the run seed. Detection is
 what a replay of the round logs finds. With one zone, the per-zone budget
-split is the fleet-wide budget. A run's record loads as that run, and no
-longer loads once a derived entry is swapped for an equal value of another
-JSON type.
+split is the fleet-wide budget. At the edges of a valid config every
+policy runs without a float warning and keeps its budgets finite. A run's
+record loads as that run, and no longer loads once a derived entry is
+swapped for an equal value of another JSON type.
 """
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,17 @@ from oracles import mark_detections
 from test_run_digests import run_digest
 
 from edgesense import engine
-from edgesense.core import POLLUTANTS, SimConfig
+from edgesense.core import (
+    MAX_ENERGY_COST,
+    MAX_NOISE_SIGMA,
+    MAX_PERIODIC_PERIOD,
+    MAX_REWARD_WEIGHT,
+    MAX_UCB_C,
+    MIN_ENERGY_COST,
+    POLLUTANTS,
+    SimConfig,
+    validate_config,
+)
 from edgesense.engine import RunResult, run_simulation
 from edgesense.policy import POLICY_ORDER
 from edgesense.trace import EventSpec, build_round_trace, draw_events, generate_synthetic
@@ -176,6 +188,59 @@ def test_budgeted_selections_are_fundable_and_fit_their_budget(cfg, policy):
         assert np.all((pulls[lg.selected] + 1) * run.energy_cost[lg.selected] <= cfg.battery_capacity)
         pulls[lg.selected] += 1
     assert np.array_equal(pulls, run.activation_counts)
+
+
+EDGE_WORLD = SimConfig(n_zones=2, nodes_per_zone=3, rounds=40)
+
+
+@pytest.fixture(scope="module")
+def edge_traces():
+    return fixed_world_traces(EDGE_WORLD)
+
+
+def just_inside(lo, hi):
+    """The floats next to the bounds of the open interval (lo, hi)."""
+    return [math.nextafter(lo, hi), math.nextafter(hi, lo)]
+
+
+@st.composite
+def edge_settings(draw):
+    """EDGE_WORLD with each field validate_config bounds at its default, its
+    lower edge or its upper edge; an open bound's edge is the float just
+    inside it."""
+    period = draw(st.sampled_from([5, 1, MAX_PERIODIC_PERIOD]))
+    alpha, beta = draw(st.sampled_from([(1.0, 0.5), (0.0, 0.0), (MAX_REWARD_WEIGHT, MAX_REWARD_WEIGHT)]))
+    return EDGE_WORLD.replace(
+        budget_fraction=draw(st.sampled_from([0.65, math.nextafter(0.0, 1.0), 1.0])),
+        eta=draw(st.sampled_from([0.1, *just_inside(0.0, 1.0)])),
+        alpha=alpha,
+        beta=beta,
+        ucb_c=draw(st.sampled_from([1.0, 0.0, MAX_UCB_C])),
+        score_floor=draw(st.sampled_from([0.12, 0.0, math.inf])),
+        detect_threshold=draw(st.sampled_from([0.5, *just_inside(0.0, 1.0)])),
+        periodic_period=period,
+        periodic_duty=draw(st.sampled_from([min(4, period), 0, period])),
+        battery_capacity=draw(st.sampled_from([21600.0, math.nextafter(0.0, 1.0), math.inf])),
+        noise_sigma=draw(st.sampled_from([0.05, 0.0, MAX_NOISE_SIGMA])),
+        energy_cost_range=draw(st.sampled_from([(0.75, 1.75), (MIN_ENERGY_COST, MIN_ENERGY_COST),
+                                                (MAX_ENERGY_COST, MAX_ENERGY_COST), (MIN_ENERGY_COST, MAX_ENERGY_COST)])),
+        hierarchy=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=150)
+@given(cfg=edge_settings())
+def test_every_policy_runs_at_the_edges_of_a_valid_config(edge_traces, cfg):
+    # the rules in policy and hierarchy do not check their arguments: what
+    # validate_config lets through must keep every budget finite and fitting.
+    # The reported overspend re-adds a cluster's admitted costs in admission
+    # order, which can round past a budget that the scan's own subtractions
+    # kept: at budget_fraction=1 with every node admitted it reads 1.8e-15.
+    assert validate_config(cfg) == []
+    for policy in POLICY_ORDER:
+        run = run_simulation(cfg, edge_traces, policy)
+        assert np.all((0 <= run.budget) & (run.budget < math.inf)), policy
+        assert run.max_budget_violation <= 1e-12 * run.budget.max(initial=0.0), policy
 
 
 @given(cfg=fixed_worlds())
