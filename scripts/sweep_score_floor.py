@@ -21,17 +21,13 @@ from edgesense.core import SimConfig
 from edgesense.engine import run_simulation
 
 
+# the summary fields swept, each written under its comparison JSON key
+FIELDS = ("policy", "n_seeds", "energy_mean", "detection_mean", "lifetime", "mean_selected_per_round")
+
+
 def _row(floor, runs):
     s = metrics.compare(runs).summaries[0]
-    return {
-        "score_floor": floor,
-        "policy": s.policy,
-        "n_seeds": s.n_seeds,
-        "avg_daily_energy_mAh": repr(s.energy_mean),
-        "detection_rate": "" if s.detection_mean is None else repr(s.detection_mean),
-        "lifetime_days": s.lifetime,
-        "mean_selected_per_round": repr(s.mean_selected_per_round),
-    }
+    return {"score_floor": floor, **{metrics.SUMMARY_KEYS[f]: getattr(s, f) for f in FIELDS}}
 
 
 def main() -> int:

@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file writes and stable JSON."""
+"""Small shared helpers: atomic file writes, stable JSON, a field's JSON types."""
 
 from __future__ import annotations
 
@@ -45,3 +45,16 @@ def write_files(directory: str, files: dict[str, str]) -> None:
 def stable_json(obj) -> str:
     """Deterministic JSON: sorted keys, no whitespace drift, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+_JSON_KINDS = {"bool": ({bool}, "a bool"), "int": ({int}, "an int"), "float": ({int, float}, "a number"),
+               "str": ({str}, "a string")}
+
+
+def json_kind(annotation: str) -> tuple[set, str]:
+    """The types a JSON value of a dataclass field with this annotation may
+    load as, to compare with type() (so true is no int), and their
+    description. A float field takes an int too; "| None" adds null."""
+    base = annotation.removesuffix(" | None")
+    types, kind = _JSON_KINDS[base]
+    return (types | {type(None)}, f"{kind} or null") if base != annotation else (types, kind)

@@ -282,11 +282,9 @@ def build_fleet(cfg: SimConfig, seed: int | None = None) -> Fleet:
 
 # --- deterministic random streams ------------------------------------------
 #
-# Counter-based streams: each (seed, purpose, block) triple owns an
-# independent Philox stream, so adding a policy or reordering evaluation
-# cannot perturb draws consumed elsewhere. The block index sits in the
-# second counter word: Philox increments the 256-bit counter from word 0,
-# so adjacent blocks stay 2**64 states apart no matter how much one draws.
+# Counter-based streams: each (seed, purpose) pair owns an independent
+# Philox stream, so adding a policy or reordering evaluation cannot perturb
+# draws consumed elsewhere.
 
 STREAM_FLEET = 1
 STREAM_TRACE = 2
@@ -294,7 +292,6 @@ STREAM_EVENTS = 3
 STREAM_READING = 4
 
 
-def stream(seed: int, purpose: int, block: int = 0) -> np.random.Generator:
+def stream(seed: int, purpose: int) -> np.random.Generator:
     key = [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(purpose)]
-    counter = [np.uint64(0), np.uint64(block), np.uint64(0), np.uint64(0)]
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return np.random.Generator(np.random.Philox(key=key))  # the counter starts at 0

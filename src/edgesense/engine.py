@@ -7,9 +7,11 @@ observed baseline and feeds learning policies. The run's round record is
 kept as columns (RunResult). Event detection is scored once the loop is
 done, in one pass over them: no selection, budget or learning step reads it.
 
-Determinism: every random draw comes from a counter-based stream keyed by
-(seed, purpose, round), with per-node draws positional inside each
-round's draws. Reordering policies or rerunning cannot shift anybody's noise.
+Determinism: every random draw comes from a stream keyed by (seed,
+purpose), and a run draws its reading noise from it in sequence, a fixed
+block per round with per-node draws positional inside it, whatever was
+selected (_NoiseSource). Reordering policies or rerunning cannot shift
+anybody's noise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial, reduce
 from itertools import chain, zip_longest
 from operator import add
@@ -25,7 +27,7 @@ from operator import add
 import numpy as np
 
 from . import hierarchy as hier
-from ._util import atomic_write_chunks, atomic_write_text, stable_json
+from ._util import atomic_write_chunks, atomic_write_text, json_kind, stable_json
 from .core import (
     Fleet,
     N_POLLUTANTS,
@@ -52,6 +54,9 @@ from .policy import (
 from .trace import EventSpec, TraceError, TraceSet, check_values
 
 RUN_FORMAT = "edgesense-run/1"
+# the run record's per-node lists, each saved under its RunResult field's name
+NODE_FIELDS = ("energy_cost", "zone_of", "final_battery", "activation_counts", "death_round", "final_utilities",
+               "final_ucb_means")
 
 K_DEVIATION = 1.5            # feedback saturates at this multiple of baseline deviation
 FEEDBACK_SCALE_FLOOR = 1e-6  # keeps the deviation ratio finite for near-zero baselines
@@ -166,23 +171,8 @@ class RunResult:
             "total_spent": self.total_spent,
             "max_budget_violation": self.max_budget_violation,
             "n_budgeted_selections": self.n_budgeted_selections,
-            "energy_cost": [float(x) for x in self.energy_cost],
-            "zone_of": [int(x) for x in self.zone_of],
-            "final_battery": [float(x) for x in self.final_battery],
-            "activation_counts": [int(x) for x in self.activation_counts],
-            "death_round": [int(x) for x in self.death_round],
-            "final_utilities": [float(x) for x in self.final_utilities],
-            "final_ucb_means": [float(x) for x in self.final_ucb_means],
-            "events": [
-                {
-                    "zone_id": ev.zone_id,
-                    "start_round": ev.start_round,
-                    "end_round": ev.end_round,
-                    "pollutant": ev.pollutant.value,
-                    "magnitude": ev.magnitude,
-                }
-                for ev in self.events
-            ],
+            **{key: getattr(self, key).tolist() for key in NODE_FIELDS},
+            "events": [asdict(ev) for ev in self.events],
             "event_detected": list(self.event_detected),
             "event_detect_round": list(self.event_detect_round),
             "rounds": [
@@ -673,8 +663,7 @@ def _run_rounds(cfg, policy_kind, read, state, obs, record):
             scores = state.utilities / costs
         res = select_budgeted(state.cand_ids, scores, costs, budgets, floor)
         sel = res.selected
-        for cost, budget in zip(res.cluster_cost.tolist(), budgets):
-            max_violation = max(max_violation, cost - budget)
+        max_violation = max(max_violation, -min(res.cluster_left.tolist()))
 
         sel_costs = costs[sel]
         sel_pulls = state.activate(sel, sel_costs)
@@ -783,7 +772,7 @@ def run_from_dict(d: dict) -> RunResult:
     config = d["config"]
     for f in fields(SimConfig):  # each config value has its field's JSON type: 1 is no bool, 96.0 no int
         value, pair = config[f.name], f.name == "energy_cost_range"
-        types, kind = {"bool": ({bool}, "a bool"), "int": ({int}, "an int")}.get(f.type, ({int, float}, "a number"))
+        types, kind = json_kind("float" if pair else f.type)
         if not (type(value) is list and len(value) == 2 and set(map(type, value)) <= types if pair
                 else type(value) in types):
             raise ValueError(f"config.{f.name} is {value!r}, which is not {'two numbers' if pair else kind}")
@@ -839,11 +828,14 @@ def run_from_dict(d: dict) -> RunResult:
     if not set(map(type, chain(feedback, budget))) <= {int, float}:
         t, key, value = first_round_value(lambda v: type(v) not in (int, float))
         raise ValueError(f"round {t} has {key} {value!r}, which is not a number")
-    selected = np.fromiter(ids, dtype=np.int64, count=len(ids))
     n_selected = np.array([len(r["selected"]) for r in rounds], dtype=np.int64)
     ends = np.cumsum(n_selected)
-    outside = np.flatnonzero((selected < 0) | (selected >= n))
-    if outside.size:
+    try:
+        selected = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        outside = np.flatnonzero((selected < 0) | (selected >= n))
+    except OverflowError:  # an id past int64: the first id outside 0..n-1 is at or before it
+        outside = [next(k for k, i in enumerate(ids) if not 0 <= i < n)]
+    if len(outside):
         raise ValueError(f"round {np.searchsorted(ends, outside[0], side='right')} selects a node outside 0..{n - 1}")
     selected = selected.astype(np.int32)  # each id names a node, so the cast keeps it
     try:
@@ -873,8 +865,11 @@ def run_from_dict(d: dict) -> RunResult:
                 raise ValueError(f"event {idx} has {key} {e[key]!r}, which is not an int")
         if type(e["magnitude"]) not in (int, float) or not _finite(e["magnitude"]):
             raise ValueError(f"event {idx} has magnitude {e['magnitude']!r}, which is not a finite number")
-        events.append(EventSpec(e["zone_id"], e["start_round"], e["end_round"], Pollutant.from_label(e["pollutant"]),
-                                e["magnitude"]))
+        try:
+            events.append(EventSpec(e["zone_id"], e["start_round"], e["end_round"],
+                                    Pollutant.from_label(e["pollutant"]), e["magnitude"]))
+        except ValueError as exc:  # an unknown pollutant, or a window or magnitude EventSpec rejects
+            raise ValueError(f"event {idx}: {exc}") from None
         if not 0 <= e["zone_id"] < cfg.n_zones:
             raise ValueError(f"an event names zone {e['zone_id']}, outside 0..{cfg.n_zones - 1}")
     utilities, ucb_means = (np.asarray(nodes.get(key, [start] * n), dtype=np.float64)

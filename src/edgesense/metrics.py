@@ -12,9 +12,10 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
-from ._util import stable_json
+from ._util import json_kind, stable_json
 from .core import MINUTES_PER_DAY
 from .engine import RunResult
 
@@ -100,6 +101,24 @@ class PolicySummary:
     lifetime_extension_pct: float | None
     first_death_day: int | None   # earliest across seeds
     mean_selected_per_round: float
+
+
+# Each record kind's fields and the JSON key each is saved under, in output
+# order: the comparison JSON, its loader's type check, the per-seed CSV and
+# the score-floor sweep read them. A run's rounds, days, node count and
+# total spend are not saved. A lifetime is inf in memory and null in JSON.
+SUMMARY_KEYS = dict(
+    policy="policy", n_seeds="n_seeds", energy_mean="avg_daily_energy_mAh", energy_std="avg_daily_energy_std",
+    detection_mean="detection_rate", detection_std="detection_rate_std", lifetime="lifetime_days",
+    energy_reduction_pct="energy_reduction_pct", detection_delta_pp="detection_delta_pp",
+    lifetime_extension_pct="lifetime_extension_pct", first_death_day="first_death_day",
+    mean_selected_per_round="mean_selected_per_round",
+)
+PER_RUN_KEYS = dict(
+    policy="policy", seed="seed", avg_daily_energy="avg_daily_energy_mAh", detection_rate="detection_rate",
+    lifetime="lifetime_days", n_events="n_events", n_detected="n_detected", first_death_day="first_death_day",
+    median_death_day="median_death_day", mean_selected_per_round="mean_selected_per_round",
+)
 
 
 @dataclass
@@ -201,18 +220,8 @@ def compare(runs: list[RunResult], policy_order: list[str] | None = None) -> Com
     )
 
 
-def _fmt(value, decimals: int = 1, suffix: str = "") -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return f"{value:.{decimals}f}{suffix}"
-
-
-def _fmt_signed(value, decimals: int = 1, suffix: str = "") -> str:
-    if value is None:
-        return "n/a"
-    return f"{value:+.{decimals}f}{suffix}"
+def _fmt_signed(value) -> str:
+    return "n/a" if value is None else f"{value:+.1f}"
 
 
 def render_text(comp: Comparison) -> str:
@@ -225,9 +234,9 @@ def render_text(comp: Comparison) -> str:
     for s in comp.summaries:
         rows.append([
             s.policy,
-            f"{_fmt(s.energy_mean)} ± {_fmt(s.energy_std)}",
+            f"{s.energy_mean:.1f} ± {s.energy_std:.1f}",
             ("n/a" if s.detection_mean is None
-             else f"{_fmt(s.detection_mean * 100)} ± {_fmt((s.detection_std or 0.0) * 100)}"),
+             else f"{s.detection_mean * 100:.1f} ± {(s.detection_std or 0.0) * 100:.1f}"),
             "inf" if math.isinf(s.lifetime) else f"{s.lifetime:.0f}",
             _fmt_signed(s.energy_reduction_pct) if s.policy != BASELINE_POLICY else "baseline",
             _fmt_signed(s.detection_delta_pp) if s.policy != BASELINE_POLICY else "baseline",
@@ -246,57 +255,35 @@ def render_text(comp: Comparison) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows(records: list, keys: dict) -> list[list]:
+    """Each record's values of the fields keys names, in the order of keys;
+    an infinite lifetime reads None."""
+    get, life = attrgetter(*keys), list(keys).index("lifetime")
+    rows = [list(get(r)) for r in records]
+    for row in rows:
+        row[life] = None if math.isinf(row[life]) else row[life]
+    return rows
+
+
 def to_json_dict(comp: Comparison) -> dict:
     return {
         "format": COMPARISON_FORMAT,
         "config": comp.config,
         "trace_hash": comp.trace_hash,
         "seeds": list(comp.seeds),
-        "policies": [
-            {
-                "policy": s.policy,
-                "n_seeds": s.n_seeds,
-                "avg_daily_energy_mAh": s.energy_mean,
-                "avg_daily_energy_std": s.energy_std,
-                "detection_rate": s.detection_mean,
-                "detection_rate_std": s.detection_std,
-                "lifetime_days": None if math.isinf(s.lifetime) else s.lifetime,
-                "energy_reduction_pct": s.energy_reduction_pct,
-                "detection_delta_pp": s.detection_delta_pp,
-                "lifetime_extension_pct": s.lifetime_extension_pct,
-                "first_death_day": s.first_death_day,
-                "mean_selected_per_round": s.mean_selected_per_round,
-            }
-            for s in comp.summaries
-        ],
-        "per_run": [
-            {
-                "policy": m.policy,
-                "seed": m.seed,
-                "avg_daily_energy_mAh": m.avg_daily_energy,
-                "detection_rate": m.detection_rate,
-                "lifetime_days": None if math.isinf(m.lifetime) else m.lifetime,
-                "n_events": m.n_events,
-                "n_detected": m.n_detected,
-                "first_death_day": m.first_death_day,
-                "median_death_day": m.median_death_day,
-                "mean_selected_per_round": m.mean_selected_per_round,
-            }
-            for m in comp.per_run
-        ],
+        "policies": [dict(zip(SUMMARY_KEYS.values(), row)) for row in _rows(comp.summaries, SUMMARY_KEYS)],
+        "per_run": [dict(zip(PER_RUN_KEYS.values(), row)) for row in _rows(comp.per_run, PER_RUN_KEYS)],
     }
 
 
 def from_json_dict(d: dict) -> Comparison:
     """Rebuild a Comparison's summaries from to_json_dict output, or raise
-    ValueError naming the first field whose JSON type is wrong. per_run is
-    left empty: the text and summary CSV renderers do not read it."""
-    number, nullable = ({int, float}, "a number"), ({int, float, type(None)}, "a number or null")
-    kinds = dict(policy=({str}, "a string"), n_seeds=({int}, "an int"), avg_daily_energy_mAh=number,
-                 avg_daily_energy_std=number, detection_rate=nullable, detection_rate_std=nullable,
-                 lifetime_days=nullable, energy_reduction_pct=nullable, detection_delta_pp=nullable,
-                 lifetime_extension_pct=nullable, first_death_day=({int, type(None)}, "an int or null"),
-                 mean_selected_per_round=number)
+    ValueError naming the first field whose JSON type is wrong: the type
+    its PolicySummary annotation names, or null for a lifetime, which
+    reads as inf. per_run is left empty: the text and summary CSV
+    renderers do not read it."""
+    kinds = {SUMMARY_KEYS[f.name]: json_kind(f"{f.type} | None" if f.name == "lifetime" else f.type)
+             for f in fields(PolicySummary)}
     if type(d["policies"]) is not list:
         raise ValueError(f"policies is {d['policies']!r}, which is not a list")
     for idx, p in enumerate(d["policies"]):
@@ -309,23 +296,10 @@ def from_json_dict(d: dict) -> Comparison:
         raise ValueError(f"seeds is {d['seeds']!r}, which is not a list of ints")
     if type(d["trace_hash"]) is not str:
         raise ValueError(f"trace_hash is {d['trace_hash']!r}, which is not a string")
-    summaries = [
-        PolicySummary(
-            policy=p["policy"],
-            n_seeds=p["n_seeds"],
-            energy_mean=p["avg_daily_energy_mAh"],
-            energy_std=p["avg_daily_energy_std"],
-            detection_mean=p["detection_rate"],
-            detection_std=p["detection_rate_std"],
-            lifetime=math.inf if p["lifetime_days"] is None else p["lifetime_days"],
-            energy_reduction_pct=p["energy_reduction_pct"],
-            detection_delta_pp=p["detection_delta_pp"],
-            lifetime_extension_pct=p["lifetime_extension_pct"],
-            first_death_day=p["first_death_day"],
-            mean_selected_per_round=p["mean_selected_per_round"],
-        )
-        for p in d["policies"]
-    ]
+    summaries = [PolicySummary(**{name: p[key] for name, key in SUMMARY_KEYS.items()}) for p in d["policies"]]
+    for s in summaries:
+        if s.lifetime is None:
+            s.lifetime = math.inf
     return Comparison(d["config"], d["trace_hash"], tuple(d["seeds"]), summaries, per_run=[])
 
 
@@ -335,7 +309,7 @@ def render_json(comp: Comparison) -> str:
 
 def render_summary_csv(comp: Comparison) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    w = csv.writer(buf, lineterminator="\n")  # None as an empty cell, a float as its repr
     w.writerow([
         "policy", "n_seeds", "avg_daily_energy_mAh", "energy_std",
         "detection_rate", "detection_std", "lifetime_days",
@@ -343,13 +317,9 @@ def render_summary_csv(comp: Comparison) -> str:
     ])
     for s in comp.summaries:
         w.writerow([
-            s.policy, s.n_seeds, repr(s.energy_mean), repr(s.energy_std),
-            "" if s.detection_mean is None else repr(s.detection_mean),
-            "" if s.detection_std is None else repr(s.detection_std),
-            "" if math.isinf(s.lifetime) else int(s.lifetime),
-            "" if s.energy_reduction_pct is None else repr(s.energy_reduction_pct),
-            "" if s.detection_delta_pp is None else repr(s.detection_delta_pp),
-            "" if s.lifetime_extension_pct is None else repr(s.lifetime_extension_pct),
+            s.policy, s.n_seeds, s.energy_mean, s.energy_std, s.detection_mean, s.detection_std,
+            None if math.isinf(s.lifetime) else int(s.lifetime),
+            s.energy_reduction_pct, s.detection_delta_pp, s.lifetime_extension_pct,
         ])
     return buf.getvalue()
 
@@ -357,21 +327,11 @@ def render_summary_csv(comp: Comparison) -> str:
 def render_per_seed_csv(comp: Comparison) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow([
-        "policy", "seed", "avg_daily_energy_mAh", "detection_rate", "lifetime_days",
-        "n_events", "n_detected", "first_death_day", "median_death_day",
-        "mean_selected_per_round",
-    ])
-    for m in comp.per_run:
-        w.writerow([
-            m.policy, m.seed, repr(m.avg_daily_energy),
-            "" if m.detection_rate is None else repr(m.detection_rate),
-            "" if math.isinf(m.lifetime) else int(m.lifetime),
-            m.n_events, m.n_detected,
-            "" if m.first_death_day is None else m.first_death_day,
-            "" if m.median_death_day is None else repr(m.median_death_day),
-            repr(m.mean_selected_per_round),
-        ])
+    w.writerow(PER_RUN_KEYS.values())
+    life = list(PER_RUN_KEYS).index("lifetime")
+    for row in _rows(comp.per_run, PER_RUN_KEYS):
+        row[life] = None if row[life] is None else int(row[life])  # whole days, as lifetime_estimate gives them
+        w.writerow(row)
     return buf.getvalue()
 
 
@@ -381,11 +341,11 @@ def render_plot_csv(comp: Comparison) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["policy", "metric", "mean", "std"])
     for s in comp.summaries:
-        w.writerow([s.policy, "avg_daily_energy_mAh", repr(s.energy_mean), repr(s.energy_std)])
+        w.writerow([s.policy, "avg_daily_energy_mAh", s.energy_mean, s.energy_std])
         if s.detection_mean is not None:
-            w.writerow([s.policy, "detection_rate", repr(s.detection_mean), repr(s.detection_std or 0.0)])
+            w.writerow([s.policy, "detection_rate", s.detection_mean, s.detection_std or 0.0])
         if not math.isinf(s.lifetime):
-            w.writerow([s.policy, "lifetime_days", repr(s.lifetime), "0.0"])
+            w.writerow([s.policy, "lifetime_days", s.lifetime, 0.0])
     return buf.getvalue()
 
 

@@ -41,10 +41,11 @@ INITIAL_UTILITY = 1.0  # optimistic start so every node gets tried early
 class BudgetedSelection:
     """Outcome of one round of budgeted admission over every cluster: the
     admitted node ids (int64), cluster by cluster and each cluster's in
-    admission order, and the energy cost admitted in each cluster."""
+    admission order, and the budget each cluster has left, as the
+    admission's own subtractions leave it."""
 
     selected: np.ndarray
-    cluster_cost: np.ndarray
+    cluster_left: np.ndarray
 
 
 def reward(info_gain, energy_cost, alpha: float, beta: float):
@@ -105,8 +106,8 @@ def select_budgeted(
     wider one takes a vectorized kernel: a running subtraction of the
     costs in scan order finds the prefix the scan admits before its first
     skip, and only the later candidates that fit what the prefix left are
-    scanned in Python. Both subtract and add the same floats in the same
-    order, so they admit the same ids and report the same costs.
+    scanned in Python. Both subtract the same floats in the same order,
+    so they admit the same ids and leave the same budgets.
     """
     scores = np.asarray(scores, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
@@ -127,19 +128,16 @@ def select_budgeted(
     cheapest = float(costs.min()) if n else math.inf
     selected: list[int] = []
     admit = selected.append
-    cluster_cost: list[float] = []
-    for ids, cost, budget in zip(order.tolist(), fit_cost[order].tolist(), budgets):
-        total = 0.0
-        remaining = budget
+    cluster_left: list[float] = []
+    for ids, cost, remaining in zip(order.tolist(), fit_cost[order].tolist(), budgets):
         for node_id, c in zip(ids, cost):
             if c <= remaining:
                 admit(node_id)
-                total += c
                 remaining -= c
                 if remaining < cheapest:
                     break
-        cluster_cost.append(total)
-    return BudgetedSelection(np.array(selected, dtype=np.int64), np.array(cluster_cost))
+        cluster_left.append(remaining)
+    return BudgetedSelection(np.array(selected, dtype=np.int64), np.array(cluster_left, dtype=np.float64))
 
 
 def _admit_wide(order: np.ndarray, cost: np.ndarray, budgets) -> BudgetedSelection:
@@ -159,23 +157,19 @@ def _admit_wide(order: np.ndarray, cost: np.ndarray, budgets) -> BudgetedSelecti
     # the +inf guard makes sure there is one
     prefix = (remaining < 0).argmax(axis=1) - 1
     left = remaining[rows, prefix]
-    # with 0 in front, the running sum repeats the scan's `total += c`
-    row[:, 0] = 0.0
-    total = np.add.accumulate(row[:, :-1], axis=1)[rows, prefix]
     admitted = np.arange(width) < prefix[:, None]
     # past the prefix, only candidates that fit what it left can be admitted
     tail_k, tail_j = np.nonzero(cost <= left[:, None])
     past = tail_j > prefix[tail_k]
     if past.any():
         tail_k, tail_j = tail_k[past], tail_j[past]
-        left, total = left.tolist(), total.tolist()
+        left = left.tolist()
         for k, j, c in zip(tail_k.tolist(), tail_j.tolist(), cost[tail_k, tail_j].tolist()):
             if c <= left[k]:
                 admitted[k, j] = True
-                total[k] += c
                 left[k] -= c
-        total = np.array(total)
-    return BudgetedSelection(order[admitted], total)
+        left = np.array(left)
+    return BudgetedSelection(order[admitted], left)
 
 
 def select_static(node_ids) -> np.ndarray:

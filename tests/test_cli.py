@@ -389,7 +389,7 @@ class TestReport:
          "an event names zone 2, outside 0..1"),
         (lambda r: r["events"].append({"zone_id": 0, "start_round": -5, "end_round": 3,
                                        "pollutant": "PM25", "magnitude": 4.0}),
-         "event start_round must be >= 0, got -5"),
+         "event 2: event start_round must be >= 0, got -5"),
         (lambda r: r.update(event_detected=[True] * 21),
          "event 2 has event_detected True, the rebuilt run has None"),
         (lambda r: r["event_detect_round"].pop(), "event 1 has event_detect_round None, the rebuilt run has 85"),
@@ -406,8 +406,7 @@ class TestReport:
          "round 36 has detected [], the rebuilt run has [0]"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1.7), "round 0 selects 1.7, which is not a node id"),
         (lambda r: r["rounds"][0]["selected"].__setitem__(0, True), "round 0 selects True, which is not a node id"),
-        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 2 ** 70),
-         "malformed record: Python int too large to convert to C long"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 2 ** 70), "round 0 selects a node outside 0..5"),
         (lambda r: r["rounds"][0]["feedback"].__setitem__(0, "0.5"), "round 0 has feedback '0.5', which is not a number"),
         (lambda r: r["rounds"][0]["feedback"].__setitem__(0, False), "round 0 has feedback False, which is not a number"),
         (lambda r: r["rounds"][3].__setitem__("spent", "1.5"),
@@ -515,6 +514,13 @@ class TestReport:
         (lambda r: r["events"][1].update(magnitude=PAST_FLOAT), f"event 1 has magnitude {PAST_FLOAT}, which is not a finite number"),
         (lambda r: r["config"].update(battery_capacity=PAST_FLOAT),
          f"config.battery_capacity is {PAST_FLOAT}, which is past the float range"),
+        (_drained(lambda r: r["events"][0].update(pollutant=5)),
+         "event 0: unknown pollutant label 5 (expected one of: PM25, PM10, CO, NO2, O3, SO2)"),
+        (_drained(lambda r: r["events"][0].update(pollutant="XX")),
+         "event 0: unknown pollutant label 'XX' (expected one of: PM25, PM10, CO, NO2, O3, SO2)"),
+        (_drained(lambda r: r["events"][0].update(magnitude=1.0)), "event 0: event magnitude must be > 1, got 1.0"),
+        (_drained(lambda r: r["events"][0].update(end_round=r["events"][0]["start_round"])),
+         "event 0: event window must be non-empty, got [95, 95)"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
@@ -539,7 +545,8 @@ class TestReport:
             "final-ucb-means-not-a-list", "feedback-past-float-range", "budget-past-float-range",
             "energy-cost-past-float-range", "final-utility-past-float-range", "final-ucb-mean-nan",
             "max-violation-past-float-range", "event-magnitude-past-float-range",
-            "config-capacity-past-float-range"])
+            "config-capacity-past-float-range", "event-pollutant-int", "event-pollutant-unknown",
+            "event-magnitude-one", "event-window-empty"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
         n_selected = len(record["rounds"][0]["selected"])

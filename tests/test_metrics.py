@@ -4,16 +4,24 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesense.core import Pollutant, SimConfig
 from edgesense.engine import RunResult, run_simulation
 from edgesense.metrics import (
+    PER_RUN_KEYS,
+    SUMMARY_KEYS,
     Comparison,
+    PolicySummary,
+    RunMetrics,
     compare,
     compute_run_metrics,
+    from_json_dict,
     lifetime_estimate,
     percent_change,
     render_json,
@@ -305,3 +313,37 @@ class TestRenderers:
         comp = self._comp()
         assert isinstance(comp, Comparison)
         assert comp.summary_for("adaptive").policy == "adaptive"
+
+
+def _field_values(name, annotation):
+    """Values of a field of this annotation: finite floats, None where it is
+    nullable, and an infinite lifetime too."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    if name == "lifetime":
+        return finite | st.just(math.inf)
+    values = {"str": st.text(max_size=6), "int": st.integers(-10 ** 6, 10 ** 6), "float": finite}
+    base = annotation.removesuffix(" | None")
+    return values[base] | st.none() if base != annotation else values[base]
+
+
+def _records(cls):
+    return st.builds(cls, **{f.name: _field_values(f.name, f.type) for f in fields(cls)})
+
+
+@given(summaries=st.lists(_records(PolicySummary), max_size=4), per_run=st.lists(_records(RunMetrics), max_size=4),
+       seeds=st.lists(st.integers(0, 2 ** 64 - 1), max_size=3), trace_hash=st.text(max_size=12))
+def test_the_key_tables_drive_the_json_round_trip_and_the_csv(summaries, per_run, seeds, trace_hash):
+    comp = Comparison({}, trace_hash, tuple(seeds), summaries, per_run)
+    back = from_json_dict(json.loads(render_json(comp)))
+    # repr, so an int read back as a float, or a lifetime as None, shows
+    assert repr(back.summaries) == repr(comp.summaries)
+    assert render_text(back) == render_text(comp)
+    assert render_summary_csv(back) == render_summary_csv(comp)
+    # each table names every saved field once, under a key of its own
+    assert list(SUMMARY_KEYS) == [f.name for f in fields(PolicySummary)]
+    unsaved = {"rounds", "days", "n_nodes", "total_spent"}
+    assert sorted(PER_RUN_KEYS) == sorted(f.name for f in fields(RunMetrics) if f.name not in unsaved)
+    for keys in (SUMMARY_KEYS, PER_RUN_KEYS):
+        assert len(set(keys.values())) == len(keys)
+    assert next(csv.reader(io.StringIO(render_per_seed_csv(comp)))) == list(PER_RUN_KEYS.values())
+    assert [list(row) for row in to_json_dict(comp)["per_run"]] == [list(PER_RUN_KEYS.values())] * len(per_run)

@@ -101,7 +101,7 @@ class TestSelectBudgeted:
     def test_skip_expensive_then_fill_with_cheaper(self):
         res = select_budgeted([0, 1, 2], [5.0, 4.0, 3.0], [10.0, 3.0, 2.0], [6.0])
         assert list(res.selected) == [1, 2]
-        assert list(res.cluster_cost) == [pytest.approx(5.0)]
+        assert list(res.cluster_left) == [1.0]
 
     def test_score_ties_break_by_lower_id(self):
         res = select_budgeted([2, 0, 1], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0])
@@ -118,12 +118,12 @@ class TestSelectBudgeted:
     def test_zero_budget_selects_nothing(self):
         res = select_budgeted([0], [1.0], [0.5], [0.0])
         assert list(res.selected) == []
-        assert list(res.cluster_cost) == [0.0]
+        assert list(res.cluster_left) == [0.0]
 
     def test_exact_fit_admits_everything(self):
         res = select_budgeted([0, 1], [3.0, 2.0], [1.5, 2.5], [4.0])
         assert list(res.selected) == [0, 1]
-        assert list(res.cluster_cost) == [4.0]
+        assert list(res.cluster_left) == [0.0]
 
     def test_count_follows_budget_not_a_quota(self):
         scores = [1.0 / (i + 1) for i in range(10)]
@@ -140,7 +140,7 @@ class TestSelectBudgeted:
         scores = [1.0, 3.0, 2.0, 1.0, 3.0, 2.0]
         res = select_budgeted(range(6), scores, [1.0] * 6, [2.0, 1.0])
         assert list(res.selected) == [1, 2, 4]
-        assert list(res.cluster_cost) == [2.0, 1.0]
+        assert list(res.cluster_left) == [0.0, 0.0]
 
     def test_clusters_must_split_the_fleet_evenly(self):
         with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ class TestSelectBudgeted:
             cands = list(zip(range(n), scores.tolist(), costs.tolist()))
             got = select_budgeted(range(n), scores, costs, [budget], floor)
             assert list(got.selected) == naive_budget_selection(cands, budget, floor)
-            assert got.cluster_cost[0] <= budget + 1e-12
+            assert got.cluster_left[0] >= 0
 
     @given(data=st.data())
     def test_clusters_match_the_naive_reference_cluster_by_cluster(self, data):
@@ -187,17 +187,17 @@ class TestSelectBudgeted:
 
         got = select_budgeted(candidates, scores, costs, budgets, floor)
 
-        want, want_cost = [], []
+        want, want_left = [], []
         for k, budget in enumerate(budgets):
             cands = [(i, scores[i], costs[i]) for i in candidates if i // width == k]
             picked = naive_budget_selection(cands, budget, floor)
-            total = 0.0
+            left = budget  # the naive reference's own subtractions, in its admission order
             for i in picked:
-                total += costs[i]
+                left -= costs[i]
             want += picked
-            want_cost.append(total)
+            want_left.append(left)
         assert list(got.selected) == want
-        assert list(got.cluster_cost) == want_cost
+        assert list(got.cluster_left) == want_left
 
     @given(wide=st.booleans(), data=st.data())
     def test_both_kernels_match_the_naive_reference_around_the_threshold(self, wide, data):
@@ -233,16 +233,16 @@ class TestSelectBudgeted:
             else:
                 budgets.append(float(rng.uniform(0.0, sum(block) + 1.0)))
 
-        want, want_cost = [], []
+        want, want_left = [], []
         for k, budget in enumerate(budgets):
             cands = [(i, scores[i], costs[i]) for i in candidates.tolist() if i // width == k]
             picked = naive_budget_selection(cands, budget, floor)
-            total = 0.0
+            left = budget  # the naive reference's own subtractions, in its admission order
             for i in picked:
-                total += costs[i]
+                left -= costs[i]
             want += picked
-            want_cost.append(total)
-        want_cost = np.array(want_cost)
+            want_left.append(left)
+        want_left = np.array(want_left)
 
         # the threshold as shipped, then each implementation forced
         for threshold in (WIDE_FLEET, n, 0):
@@ -250,7 +250,7 @@ class TestSelectBudgeted:
                 got = select_budgeted(candidates, scores, costs, budgets, floor)
             assert got.selected.dtype == np.int64
             assert got.selected.tolist() == want
-            assert got.cluster_cost.tobytes() == want_cost.tobytes()
+            assert got.cluster_left.tobytes() == want_left.tobytes()
 
 
 class TestSelectStatic:

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mark_detections
@@ -230,17 +230,17 @@ def edge_settings(draw):
 
 @settings(max_examples=150)
 @given(cfg=edge_settings())
+# every node admitted: the admitted costs re-added in another order than
+# admission subtracts them round past the budget here, by 1.8e-15
+@example(cfg=EDGE_WORLD.replace(budget_fraction=1.0, hierarchy=False, seed=12))
 def test_every_policy_runs_at_the_edges_of_a_valid_config(edge_traces, cfg):
     # the rules in policy and hierarchy do not check their arguments: what
-    # validate_config lets through must keep every budget finite and fitting.
-    # The reported overspend re-adds a cluster's admitted costs in admission
-    # order, which can round past a budget that the scan's own subtractions
-    # kept: at budget_fraction=1 with every node admitted it reads 1.8e-15.
+    # validate_config lets through must keep every budget finite and fitting
     assert validate_config(cfg) == []
     for policy in POLICY_ORDER:
         run = run_simulation(cfg, edge_traces, policy)
         assert np.all((0 <= run.budget) & (run.budget < math.inf)), policy
-        assert run.max_budget_violation <= 1e-12 * run.budget.max(initial=0.0), policy
+        assert run.max_budget_violation == 0, policy
 
 
 @given(cfg=fixed_worlds())
