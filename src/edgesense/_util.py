@@ -1,10 +1,12 @@
-"""Small shared helpers: atomic file writes, stable JSON, a field's JSON types."""
+"""Small shared helpers: atomic file writes, stable JSON, and the JSON types and checks of a loaded record's values."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+
+import numpy as np
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -48,7 +50,7 @@ def stable_json(obj) -> str:
 
 
 _JSON_KINDS = {"bool": ({bool}, "a bool"), "int": ({int}, "an int"), "float": ({int, float}, "a number"),
-               "str": ({str}, "a string")}
+               "str": ({str}, "a string"), "list": ({list}, "a list"), "dict": ({dict}, "an object")}
 
 
 def json_kind(annotation: str) -> tuple[set, str]:
@@ -58,3 +60,45 @@ def json_kind(annotation: str) -> tuple[set, str]:
     base = annotation.removesuffix(" | None")
     types, kind = _JSON_KINDS[base]
     return (types | {type(None)}, f"{kind} or null") if base != annotation else (types, kind)
+
+
+def json_place(key: str | None, subject: str | None = None, i: int | None = None) -> str:
+    """How an error about a record's value names it: "{subject} {i} has
+    {key}", "{subject} {i} is" for the entry itself (key None), or "{key}
+    is" for a single value."""
+    if not subject or i is None:
+        return f"{key} is"
+    return f"{subject} {i} has {key}" if key else f"{subject} {i} is"
+
+
+def check_json(values: list, kind: tuple[set, str], key: str | None, subject: str | None = None,
+               bounds: tuple[float, float] | None = None, at=None):
+    """Return a record's JSON values if each has one of kind's types (by
+    type(), so true is no int) and, with bounds, lies in that closed range as
+    a float (so NaN and an int past the float range do not), then as a
+    float64 array. Else raise ValueError naming the first that fails:
+    "{json_place} {value!r}, which is not {kind's description}", with i its
+    position, or at(position)."""
+    types, what = kind
+    if set(map(type, values)) <= types:
+        if bounds is None:
+            return values
+        try:
+            array = np.array(values, dtype=np.float64)
+        except OverflowError:  # an int past the float range, found below
+            pass
+        else:
+            if ((bounds[0] <= array) & (array <= bounds[1])).all():
+                return array
+    i = next(i for i, value in enumerate(values) if not _fits(value, types, bounds))
+    raise ValueError(f"{json_place(key, subject, i if at is None else at(i))} {values[i]!r}, which is not {what}")
+
+
+def _fits(value, types: set, bounds: tuple[float, float] | None) -> bool:
+    """check_json's test of one value, run to find the first that fails."""
+    if type(value) not in types:
+        return False
+    try:
+        return bounds is None or bounds[0] <= float(value) <= bounds[1]
+    except OverflowError:
+        return False

@@ -73,13 +73,19 @@ def _require_seed(seed: int, name: str = "seed") -> int:
     return seed
 
 
-def _check_writable(path: str) -> None:
-    """Raise the OSError that writing a file at path would meet: its parent
-    is not an existing writable directory, or path is a directory. Called
-    before simulating, so a bad path does not throw a finished run away."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        code = errno.EISDIR
+def _check_writable(path: str, directory: bool = False) -> None:
+    """Raise the OSError that writing at path would meet. A file path must
+    not be a directory, and its parent must be an existing writable
+    directory. With directory, path is a directory that os.makedirs creates
+    and files are written into: it must not be an existing non-directory,
+    and its nearest existing ancestor (itself if it exists) must be a
+    writable directory. Called before simulating, so a bad path does not
+    throw a finished run away."""
+    parent = os.path.abspath(path) if directory else os.path.dirname(os.path.abspath(path))
+    while directory and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        code = errno.EEXIST if directory else errno.EISDIR
     elif not os.path.exists(parent):
         code = errno.ENOENT
     elif not os.path.isdir(parent):
@@ -239,7 +245,7 @@ def run_comparison(cfg: SimConfig, traces: TraceSet, policies, seeds, jobs: int 
     Results are merged in task order, so worker count never changes output."""
     tasks = [(cfg, traces, k, s) for k in policies for s in seeds]
     if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             runs = list(pool.map(_compare_task, tasks))
     else:
         runs = [_compare_task(t) for t in tasks]
@@ -250,6 +256,8 @@ def _cmd_compare(args) -> int:
     cfg = _load_cfg(args)
     policies = _parse_policies(args.policies)
     seeds = parse_seed_list(args.seeds)
+    if args.out:
+        _check_writable(args.out, directory=True)
     traces = _build_traces(cfg, args, world_seed=cfg.seed)
     t0 = time.perf_counter()
     comp = run_comparison(cfg, traces, policies, seeds, jobs=max(1, args.jobs))
@@ -321,7 +329,7 @@ def main(argv=None) -> int:
     except (ConfigError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (FileExistsError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
     except ValueError as exc:

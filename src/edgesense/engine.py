@@ -27,7 +27,7 @@ from operator import add
 import numpy as np
 
 from . import hierarchy as hier
-from ._util import atomic_write_chunks, atomic_write_text, json_kind, stable_json
+from ._util import atomic_write_chunks, atomic_write_text, check_json, json_kind, json_place, stable_json
 from .core import (
     Fleet,
     N_POLLUTANTS,
@@ -61,6 +61,9 @@ NODE_FIELDS = ("energy_cost", "zone_of", "final_battery", "activation_counts", "
 K_DEVIATION = 1.5            # feedback saturates at this multiple of baseline deviation
 FEEDBACK_SCALE_FLOOR = 1e-6  # keeps the deviation ratio finite for near-zero baselines
 TREND_WINDOW = 8             # rounds of observed history behind the trend slope
+
+_INT, _NUMBER = json_kind("int")[0], json_kind("float")[0]  # the types a JSON int and a JSON number load as
+_FINITE = (-sys.float_info.max, sys.float_info.max)         # the range of a finite float
 
 
 def sensor_reading(truth, z, noise_sigma: float):
@@ -755,126 +758,80 @@ def load_run(path: str) -> RunResult:
 
 
 def run_from_dict(d: dict) -> RunResult:
-    """Rebuild a RunResult from a parsed record of format RUN_FORMAT, or raise
-    ValueError: check its inputs' types, structure and config, build them as
-    run_simulation does (_build_run), and require each stored derived field to
-    be the rebuilt run's. A record without learner state gets the start state."""
+    """Rebuild a RunResult from a parsed RUN_FORMAT record, or raise ValueError:
+    check each input value (check_json), the structure and the config, build
+    the inputs as run_simulation does (_build_run), and require each stored
+    derived field to be the rebuilt run's. Absent learner state is the start state."""
     nodes = {"energy_cost": d["energy_cost"], **{k: d[k] for k in ("final_utilities", "final_ucb_means") if k in d}}
     seed, trace_hash, violation = d["seed"], d["trace_hash"], d["max_budget_violation"]
-    if type(seed) is not int:
-        raise ValueError(f"seed is {seed!r}, which is not an int")
+    check_json([seed], json_kind("int"), "seed")
     if problem := seed_problem(seed):
         raise ValueError(problem)
-    if type(trace_hash) is not str:
-        raise ValueError(f"trace_hash is {trace_hash!r}, which is not a string")
-    if type(violation) not in (int, float) or not 0 <= violation <= sys.float_info.max:
-        raise ValueError(f"max_budget_violation is {violation!r}, which is not a finite number >= 0")
-    config = d["config"]
+    check_json([trace_hash], json_kind("str"), "trace_hash")
+    check_json([violation], (_NUMBER, "a finite number >= 0"), "max_budget_violation", bounds=(0, _FINITE[1]))
+    config = check_json([d["config"]], json_kind("dict"), "config")[0]
     for f in fields(SimConfig):  # each config value has its field's JSON type: 1 is no bool, 96.0 no int
-        value, pair = config[f.name], f.name == "energy_cost_range"
-        types, kind = json_kind("float" if pair else f.type)
-        if not (type(value) is list and len(value) == 2 and set(map(type, value)) <= types if pair
-                else type(value) in types):
-            raise ValueError(f"config.{f.name} is {value!r}, which is not {'two numbers' if pair else kind}")
-        if f.type == "float" and type(value) is int and not _finite(value):  # Infinity is a valid float
-            raise ValueError(f"config.{f.name} is {value!r}, which is past the float range")
+        key, value = f"config.{f.name}", config[f.name]
+        if f.name == "energy_cost_range":  # require_valid bounds both numbers
+            if not (type(value) is list and len(value) == 2 and set(map(type, value)) <= _NUMBER):
+                raise ValueError(f"{json_place(key)} {value!r}, which is not two numbers")
+        else:  # Infinity is a valid float, an int past the float range is not
+            check_json([value], json_kind(f.type), key, bounds=(-np.inf, np.inf) if f.type == "float" else None)
     cfg = require_valid(SimConfig(**{f.name: config[f.name] for f in fields(SimConfig)}))
     if len(config) != len(fields(SimConfig)):
         raise ValueError(f"config has keys SimConfig does not know: {sorted(set(config) - set(cfg.to_dict()))}")
-    n = cfg.n_nodes
-    for key, values in nodes.items():  # JSON numbers load as ints and floats; numpy takes strings and bools too
-        if type(values) is not list:
-            raise ValueError(f"{key} is {values!r}, which is not a list")
-        if not set(map(type, values)) <= {int, float}:
-            node, value = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
-            raise ValueError(f"{key} of node {node} is {value!r}, which is not a number")
-        if not all(map(_finite, values)):
-            node, value = next((i, v) for i, v in enumerate(values) if not _finite(v))
-            raise ValueError(f"{key} of node {node} is {value!r}, which is not a finite number")
+    n, (lo, hi) = cfg.n_nodes, cfg.energy_cost_range
+    for key, values in nodes.items():
+        check_json([values], json_kind("list"), key)
+        ranged = key == "energy_cost"
+        kind = (_NUMBER, f"a number in energy_cost_range [{lo}, {hi}]" if ranged else "a finite number")
+        nodes[key] = check_json(values, kind, key, "node", (lo, hi) if ranged else _FINITE)
         if len(values) != n:
             raise ValueError(f"{key} has {len(values)} entries, the config has {n} nodes")
-    costs = np.asarray(nodes["energy_cost"], dtype=np.float64)
-    lo, hi = cfg.energy_cost_range
-    outside = np.flatnonzero(~((lo <= costs) & (costs <= hi)))
-    if outside.size:
-        raise ValueError(f"energy_cost of node {outside[0]} is {nodes['energy_cost'][outside[0]]!r}, "
-                         f"outside energy_cost_range [{lo}, {hi}]")
     rounds, raw_events = d["rounds"], d["events"]
     for key, entries, entry in (("rounds", rounds, "round"), ("events", raw_events, "event")):
-        if type(entries) is not list:
-            raise ValueError(f"{key} is {entries!r}, which is not a list")
-        if not all(type(e) is dict for e in entries):
-            idx, e = next((idx, e) for idx, e in enumerate(entries) if type(e) is not dict)
-            raise ValueError(f"{entry} {idx} is {e!r}, which is not an object")
+        check_json([entries], json_kind("list"), key)
+        check_json(entries, json_kind("dict"), None, entry)
     if len(rounds) != cfg.rounds:
         raise ValueError(f"config.rounds is {cfg.rounds}, the record has {len(rounds)} rounds")
-    for t, r in enumerate(rounds):
-        for key in ("selected", "feedback"):
-            if type(r[key]) is not list:
-                raise ValueError(f"round {t} has {key} {r[key]!r}, which is not a list")
-        if len(r["feedback"]) != len(r["selected"]):
-            raise ValueError(f"round {t} has {len(r['feedback'])} feedback values "
-                             f"for {len(r['selected'])} selected nodes")
-    ids = list(chain.from_iterable(r["selected"] for r in rounds))
-    if not set(map(type, ids)) <= {int}:
-        t, value = next((t, i) for t, r in enumerate(rounds) for i in r["selected"] if type(i) is not int)
-        raise ValueError(f"round {t} selects {value!r}, which is not a node id")
-    feedback, budget = list(chain.from_iterable(r["feedback"] for r in rounds)), [r["budget"] for r in rounds]
-
-    def first_round_value(bad):  # (round, key, value) of the first feedback or budget value that is bad
-        return next((t, k, v) for t, r in enumerate(rounds) for k in ("feedback", "budget")
-                    for v in (r[k] if k == "feedback" else [r[k]]) if bad(v))
-
-    if not set(map(type, chain(feedback, budget))) <= {int, float}:
-        t, key, value = first_round_value(lambda v: type(v) not in (int, float))
-        raise ValueError(f"round {t} has {key} {value!r}, which is not a number")
-    n_selected = np.array([len(r["selected"]) for r in rounds], dtype=np.int64)
-    ends = np.cumsum(n_selected)
-    try:
-        selected = np.fromiter(ids, dtype=np.int64, count=len(ids))
-        outside = np.flatnonzero((selected < 0) | (selected >= n))
-    except OverflowError:  # an id past int64: the first id outside 0..n-1 is at or before it
-        outside = [next(k for k, i in enumerate(ids) if not 0 <= i < n)]
-    if len(outside):
-        raise ValueError(f"round {np.searchsorted(ends, outside[0], side='right')} selects a node outside 0..{n - 1}")
-    selected = selected.astype(np.int32)  # each id names a node, so the cast keeps it
-    try:
-        columns = dict(selected=selected, feedback=np.fromiter(feedback, dtype=np.float64, count=len(feedback)),
-                       n_selected=n_selected, budget=np.array(budget, dtype=np.float64))
-    except OverflowError:  # an int past the float range
-        t, key, value = first_round_value(lambda v: not _finite(v))
-        raise ValueError(f"round {t} has {key} {value!r}, which is not a finite number") from None
+    id_lists, feedback_lists = (check_json([r[key] for r in rounds], json_kind("list"), key, "round")
+                                for key in ("selected", "feedback"))
+    for t, (round_ids, round_feedback) in enumerate(zip(id_lists, feedback_lists)):
+        if len(round_feedback) != len(round_ids):
+            raise ValueError(f"round {t} has {len(round_feedback)} feedback values for {len(round_ids)} selected nodes")
+    n_selected = np.array(list(map(len, id_lists)), dtype=np.int64)
+    round_of = partial(np.searchsorted, np.cumsum(n_selected), side="right")  # of an entry of the flat columns
+    ids = check_json(list(chain.from_iterable(id_lists)), (_INT, f"a node id in 0..{n - 1}"), "selected", "round",
+                     (0, n - 1), round_of).astype(np.int32)
     # feedback as feedback_proxy gives it, budgets as select_budgeted takes them
-    outside = np.flatnonzero(~((0 <= columns["feedback"]) & (columns["feedback"] <= 1)))
-    if outside.size:
-        raise ValueError(f"round {np.searchsorted(ends, outside[0], side='right')} has feedback "
-                         f"{feedback[outside[0]]!r}, outside [0, 1]")
-    outside = np.flatnonzero(~((0 <= columns["budget"]) & (columns["budget"] < np.inf)))
-    if outside.size:
-        raise ValueError(f"round {outside[0]} has budget {budget[outside[0]]!r}, which is not a finite number >= 0")
-    counts = np.bincount(selected, minlength=n)
+    feedback = check_json(list(chain.from_iterable(feedback_lists)), (_NUMBER, "a number in [0, 1]"), "feedback",
+                          "round", (0, 1), round_of)
+    budget = check_json([r["budget"] for r in rounds], (_NUMBER, "a finite number >= 0"), "budget", "round",
+                        (0, _FINITE[1]))
+    keys = np.sort(np.repeat(np.arange(cfg.rounds) * n, n_selected) + ids)  # round * n + id: a repeat is adjacent
+    if (twice := keys[1:][keys[1:] == keys[:-1]]).size:
+        raise ValueError(f"{json_place('selected', 'round', twice[0] // n)} node {twice[0] % n} twice")
+    counts = np.bincount(ids, minlength=n)
     # a node with count activations could fund the last one only if it could
     # fund another after count - 1
-    over = np.flatnonzero((counts > 0) & _cannot_fund(counts - 1, costs, cfg.battery_capacity))
+    over = np.flatnonzero((counts > 0) & _cannot_fund(counts - 1, nodes["energy_cost"], cfg.battery_capacity))
     if over.size:
         raise ValueError(f"node {over[0]} is selected {counts[over[0]]} times, more than its battery funds")
+    for key, kind, bounds in (("zone_id", (_INT, f"a zone in 0..{cfg.n_zones - 1}"), (0, cfg.n_zones - 1)),
+                              ("start_round", json_kind("int"), None), ("end_round", json_kind("int"), None),
+                              ("magnitude", (_NUMBER, "a finite number"), _FINITE)):
+        check_json([e[key] for e in raw_events], kind, key, "event", bounds)
     events = []
     for idx, e in enumerate(raw_events):
-        for key in ("zone_id", "start_round", "end_round"):
-            if type(e[key]) is not int:
-                raise ValueError(f"event {idx} has {key} {e[key]!r}, which is not an int")
-        if type(e["magnitude"]) not in (int, float) or not _finite(e["magnitude"]):
-            raise ValueError(f"event {idx} has magnitude {e['magnitude']!r}, which is not a finite number")
         try:
             events.append(EventSpec(e["zone_id"], e["start_round"], e["end_round"],
                                     Pollutant.from_label(e["pollutant"]), e["magnitude"]))
         except ValueError as exc:  # an unknown pollutant, or a window or magnitude EventSpec rejects
             raise ValueError(f"event {idx}: {exc}") from None
-        if not 0 <= e["zone_id"] < cfg.n_zones:
-            raise ValueError(f"an event names zone {e['zone_id']}, outside 0..{cfg.n_zones - 1}")
     utilities, ucb_means = (np.asarray(nodes.get(key, [start] * n), dtype=np.float64)
                             for key, start in (("final_utilities", INITIAL_UTILITY), ("final_ucb_means", 0.0)))
-    run = _build_run(cfg, PolicyKind.from_name(d["policy"]), seed, trace_hash, events, columns, costs,
+    columns = dict(selected=ids, feedback=feedback, n_selected=n_selected, budget=budget)
+    run = _build_run(cfg, PolicyKind.from_name(d["policy"]), seed, trace_hash, events, columns, nodes["energy_cost"],
                      fleet_zones(cfg).astype(np.int64), counts, utilities, ucb_means, float(violation))
     detected, no_events = {t: list(ids) for t, ids in _detections_by_round(run.event_detect_round).items()}, []
     per_round = dict(round=list(range(cfg.rounds)), spent=run.spent.tolist(), mean_reward=run.mean_reward.tolist(),
@@ -894,16 +851,8 @@ def run_from_dict(d: dict) -> RunResult:
             idx, got, want = next(((idx, got, want) for idx, (got, want) in walk  # a missing entry reads as None
                                    if not (got == want and _json_types([got]) == _json_types([want]))),
                                   (None, stored, rebuilt))  # no unequal entry: name the field as a whole
-            place = f"{subject} {idx} has {key}" if subject and idx is not None else f"{key} is"
-            raise ValueError(f"{place} {got!r}, the rebuilt run has {want!r}")
+            raise ValueError(f"{json_place(key, subject, idx)} {got!r}, the rebuilt run has {want!r}")
     return run
-
-
-def _finite(value) -> bool:
-    """Whether a JSON number, an int or a float, is finite as a float. NaN
-    is not, and neither is an int past the float range, although it
-    compares below inf."""
-    return abs(value) <= sys.float_info.max
 
 
 def _json_types(values: list) -> set:

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from ._util import json_kind, stable_json
+from ._util import check_json, json_kind, stable_json
 from .core import MINUTES_PER_DAY
 from .engine import RunResult
 
@@ -282,20 +282,14 @@ def from_json_dict(d: dict) -> Comparison:
     its PolicySummary annotation names, or null for a lifetime, which
     reads as inf. per_run is left empty: the text and summary CSV
     renderers do not read it."""
-    kinds = {SUMMARY_KEYS[f.name]: json_kind(f"{f.type} | None" if f.name == "lifetime" else f.type)
-             for f in fields(PolicySummary)}
-    if type(d["policies"]) is not list:
-        raise ValueError(f"policies is {d['policies']!r}, which is not a list")
-    for idx, p in enumerate(d["policies"]):
-        if type(p) is not dict:
-            raise ValueError(f"policies entry {idx} is {p!r}, which is not an object")
-        for key, (types, kind) in kinds.items():  # type(), so true is no int
-            if type(p[key]) not in types:
-                raise ValueError(f"policies entry {idx} has {key} {p[key]!r}, which is not {kind}")
-    if type(d["seeds"]) is not list or not set(map(type, d["seeds"])) <= {int}:
-        raise ValueError(f"seeds is {d['seeds']!r}, which is not a list of ints")
-    if type(d["trace_hash"]) is not str:
-        raise ValueError(f"trace_hash is {d['trace_hash']!r}, which is not a string")
+    check_json([d["policies"]], json_kind("list"), "policies")
+    check_json(d["policies"], json_kind("dict"), None, "policies entry")
+    for f in fields(PolicySummary):
+        key, kind = SUMMARY_KEYS[f.name], json_kind(f"{f.type} | None" if f.name == "lifetime" else f.type)
+        check_json([p[key] for p in d["policies"]], kind, key, "policies entry")
+    check_json([d["seeds"]], json_kind("list"), "seeds")
+    check_json(d["seeds"], json_kind("int"), None, "seeds entry")
+    check_json([d["trace_hash"]], json_kind("str"), "trace_hash")
     summaries = [PolicySummary(**{name: p[key] for name, key in SUMMARY_KEYS.items()}) for p in d["policies"]]
     for s in summaries:
         if s.lifetime is None:

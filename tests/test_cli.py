@@ -6,6 +6,7 @@ files left behind. The input gate at the end calls `cli.main` in-process,
 so it can try many settings in a few seconds.
 """
 
+import concurrent.futures
 import contextlib
 import functools
 import io
@@ -293,6 +294,43 @@ class TestCompare:
             assert _read(os.path.join(artifacts["cmp_dir"], name)) == \
                 _read(str(par / name)), name
 
+    def test_parallel_jobs_start_no_more_workers_than_runs(self, monkeypatch):
+        started = []
+
+        class InProcessPool:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = load_config(None, {"n_zones": 2, "nodes_per_zone": 3, "rounds": 96})
+        traces = trace.build_round_trace(cfg, trace.generate_synthetic(cfg, rng_seed=1), [])
+        comp = cli.run_comparison(cfg, traces, [PolicyKind.STATIC], [1, 2], jobs=4)
+        assert started == [2]
+        assert comp.seeds == (1, 2)
+
+    @pytest.mark.parametrize("out, problem", [
+        ("a-file", "File exists"),
+        ("a-file/summary", "Not a directory"),
+    ], ids=["file", "parent-is-a-file"])
+    def test_unwritable_out_fails_before_simulating(self, cfg_file, tmp_path, out, problem):
+        (tmp_path / "a-file").write_text("")
+        out = tmp_path / out
+        proc = run_cli("compare", "--config", cfg_file, "--synthetic", "--seeds", "1", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {problem}: {out}"]
+        # the path is checked before simulating, so no table is printed
+        assert proc.stdout == ""
+        assert os.listdir(tmp_path) == ["a-file"]
+
 
 class TestReport:
     def test_text_from_directory(self, artifacts):
@@ -354,7 +392,7 @@ class TestReport:
          "policies entry 0 has first_death_day 1.5, which is not an int or null"),
         (lambda d: d["policies"].__setitem__(0, 5), "policies entry 0 is 5, which is not an object"),
         (lambda d: d.update(policies=5), "policies is 5, which is not a list"),
-        (lambda d: d.update(seeds=[1, "2"]), "seeds is [1, '2'], which is not a list of ints"),
+        (lambda d: d.update(seeds=[1, "2"]), "seeds entry 1 is '2', which is not an int"),
         (lambda d: d.update(trace_hash=5), "trace_hash is 5, which is not a string"),
     ], ids=["detection-rate-bool", "n-seeds-string", "n-seeds-bool", "policy-int", "energy-std-null",
             "first-death-day-float", "policy-entry-int", "policies-int", "seed-string", "trace-hash-int"])
@@ -374,19 +412,18 @@ class TestReport:
         path.write_text(json.dumps(record))
         proc = run_cli("report", "--in", str(path))
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            f"error: {path}: malformed record: list indices must be integers or slices, not str"
-        ]
+        assert proc.stderr.splitlines() == [f"error: {path}: config is [], which is not an object"]
 
     @pytest.mark.parametrize("edit, problem", [
         (lambda r: r.update(zone_of=[]), "node 0 has zone_of None, the rebuilt run has 0"),
         (lambda r: r["energy_cost"].pop(), "energy_cost has 5 entries, the config has 6 nodes"),
         (lambda r: r["zone_of"].__setitem__(5, 2), "node 5 has zone_of 2, the rebuilt run has 1"),
-        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1000000), "round 0 selects a node outside 0..5"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1000000),
+         "round 0 has selected 1000000, which is not a node id in 0..5"),
         (lambda r: r["rounds"][0]["feedback"].pop(), "round 0 has {} feedback values for {} selected nodes"),
         (lambda r: r["events"].append({"zone_id": 2, "start_round": 0, "end_round": 4,
                                        "pollutant": "CO", "magnitude": 2.0}),
-         "an event names zone 2, outside 0..1"),
+         "event 2 has zone_id 2, which is not a zone in 0..1"),
         (lambda r: r["events"].append({"zone_id": 0, "start_round": -5, "end_round": 3,
                                        "pollutant": "PM25", "magnitude": 4.0}),
          "event 2: event start_round must be >= 0, got -5"),
@@ -404,16 +441,22 @@ class TestReport:
          "round 0 has detected [1], the rebuilt run has []"),
         (lambda r: r["rounds"][36]["detected"].clear(),
          "round 36 has detected [], the rebuilt run has [0]"),
-        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1.7), "round 0 selects 1.7, which is not a node id"),
-        (lambda r: r["rounds"][0]["selected"].__setitem__(0, True), "round 0 selects True, which is not a node id"),
-        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 2 ** 70), "round 0 selects a node outside 0..5"),
-        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, "0.5"), "round 0 has feedback '0.5', which is not a number"),
-        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, False), "round 0 has feedback False, which is not a number"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 1.7),
+         "round 0 has selected 1.7, which is not a node id in 0..5"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, True),
+         "round 0 has selected True, which is not a node id in 0..5"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(0, 2 ** 70),
+         f"round 0 has selected {2 ** 70}, which is not a node id in 0..5"),
+        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, "0.5"),
+         "round 0 has feedback '0.5', which is not a number in [0, 1]"),
+        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, False),
+         "round 0 has feedback False, which is not a number in [0, 1]"),
         (lambda r: r["rounds"][3].__setitem__("spent", "1.5"),
          "round 3 has spent '1.5', the rebuilt run has 3.3135456233081038"),
         (lambda r: r["rounds"][3].__setitem__("spent", True),
          "round 3 has spent True, the rebuilt run has 3.3135456233081038"),
-        (lambda r: r["rounds"][2].__setitem__("budget", None), "round 2 has budget None, which is not a number"),
+        (lambda r: r["rounds"][2].__setitem__("budget", None),
+         "round 2 has budget None, which is not a finite number >= 0"),
         (lambda r: r["rounds"][1].__setitem__("mean_reward", [0.1]),
          "round 1 has mean_reward [0.1], the rebuilt run has -0.4882035619722818"),
         (lambda r: r.update(total_spent=r["total_spent"] * 100),
@@ -428,7 +471,7 @@ class TestReport:
         (_drained(_double_spent), "round 0 has spent 7.828038305577554, the rebuilt run has 3.914019152788777"),
         (_drained(_clear_detections), "event 0 has event_detect_round -1, the rebuilt run has 95"),
         (_drained(lambda r: r.update(energy_cost=[repr(c) for c in r["energy_cost"]])),
-         "energy_cost of node 0 is '0.8251511510959112', which is not a number"),
+         "node 0 has energy_cost '0.8251511510959112', which is not a number in energy_cost_range [0.75, 1.75]"),
         (_drained(lambda r: r["zone_of"].__setitem__(5, 1.5)), "node 5 has zone_of 1.5, the rebuilt run has 1"),
         (_drained(lambda r: r["zone_of"].__setitem__(0, False)), "node 0 has zone_of False, the rebuilt run has 0"),
         (_drained(lambda r: r["activation_counts"].__setitem__(1, 86.0)),
@@ -438,9 +481,9 @@ class TestReport:
         (_drained(lambda r: r["final_battery"].__setitem__(3, None)),
          "node 3 has final_battery None, the rebuilt run has 0.8924198557850787"),
         (_drained(lambda r: r["final_utilities"].__setitem__(2, "0.5")),
-         "final_utilities of node 2 is '0.5', which is not a number"),
+         "node 2 has final_utilities '0.5', which is not a finite number"),
         (_drained(lambda r: r["final_ucb_means"].__setitem__(4, True)),
-         "final_ucb_means of node 4 is True, which is not a number"),
+         "node 4 has final_ucb_means True, which is not a finite number"),
         (lambda r: r.update(n_budgeted_selections=r["n_budgeted_selections"] + 1),
          "n_budgeted_selections is 193, the rebuilt run has 192"),
         (lambda r: r.update(policy="static"), "n_budgeted_selections is 192, the rebuilt run has 0"),
@@ -452,7 +495,7 @@ class TestReport:
         (lambda r: r["config"].pop("hierarchy"), "missing key 'hierarchy'"),
         (lambda r: r["config"].update(volts=3), "config has keys SimConfig does not know: ['volts']"),
         (lambda r: r["config"].update(energy_cost_range=[1.5, 1.75]),
-         "energy_cost of node 0 is 1.4900963480618716, outside energy_cost_range [1.5, 1.75]"),
+         "node 0 has energy_cost 1.4900963480618716, which is not a number in energy_cost_range [1.5, 1.75]"),
         (lambda r: r["rounds"][1].__setitem__("mean_reward", 0.25),
          "round 1 has mean_reward 0.25, the rebuilt run has -0.4882035619722818"),
         (_static(lambda r: r["rounds"][1].__setitem__("mean_reward", 0.25)),
@@ -466,11 +509,12 @@ class TestReport:
          "max_budget_violation is 'oops', which is not a finite number >= 0"),
         (_static(lambda r: r.update(max_budget_violation=5.0)),
          "max_budget_violation is 5.0, the rebuilt run has 0.0"),
-        (lambda r: r["events"][0].update(zone_id=True), "event 0 has zone_id True, which is not an int"),
+        (lambda r: r["events"][0].update(zone_id=True), "event 0 has zone_id True, which is not a zone in 0..1"),
         (lambda r: r["events"][1].update(magnitude=float("nan")),
          "event 1 has magnitude nan, which is not a finite number"),
         (lambda r: r.update(trace_hash=5), "trace_hash is 5, which is not a string"),
-        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, 1.5), "round 0 has feedback 1.5, outside [0, 1]"),
+        (lambda r: r["rounds"][0]["feedback"].__setitem__(0, 1.5),
+         "round 0 has feedback 1.5, which is not a number in [0, 1]"),
         (lambda r: r["rounds"][2].__setitem__("budget", float("nan")),
          "round 2 has budget nan, which is not a finite number >= 0"),
         (lambda r: r["config"].update(hierarchy=1), "config.hierarchy is 1, which is not a bool"),
@@ -502,18 +546,20 @@ class TestReport:
         (lambda r: r.update(final_utilities=5), "final_utilities is 5, which is not a list"),
         (lambda r: r.update(final_ucb_means=5), "final_ucb_means is 5, which is not a list"),
         (lambda r: r["rounds"][0]["feedback"].__setitem__(0, PAST_FLOAT),
-         f"round 0 has feedback {PAST_FLOAT}, which is not a finite number"),
-        (lambda r: r["rounds"][2].update(budget=PAST_FLOAT), f"round 2 has budget {PAST_FLOAT}, which is not a finite number"),
-        (lambda r: r["energy_cost"].__setitem__(1, PAST_FLOAT), f"energy_cost of node 1 is {PAST_FLOAT}, which is not a finite number"),
+         f"round 0 has feedback {PAST_FLOAT}, which is not a number in [0, 1]"),
+        (lambda r: r["rounds"][2].update(budget=PAST_FLOAT),
+         f"round 2 has budget {PAST_FLOAT}, which is not a finite number >= 0"),
+        (lambda r: r["energy_cost"].__setitem__(1, PAST_FLOAT),
+         f"node 1 has energy_cost {PAST_FLOAT}, which is not a number in energy_cost_range [0.75, 1.75]"),
         (lambda r: r["final_utilities"].__setitem__(2, PAST_FLOAT),
-         f"final_utilities of node 2 is {PAST_FLOAT}, which is not a finite number"),
+         f"node 2 has final_utilities {PAST_FLOAT}, which is not a finite number"),
         (lambda r: r["final_ucb_means"].__setitem__(4, float("nan")),
-         "final_ucb_means of node 4 is nan, which is not a finite number"),
+         "node 4 has final_ucb_means nan, which is not a finite number"),
         (lambda r: r.update(max_budget_violation=PAST_FLOAT),
          f"max_budget_violation is {PAST_FLOAT}, which is not a finite number >= 0"),
         (lambda r: r["events"][1].update(magnitude=PAST_FLOAT), f"event 1 has magnitude {PAST_FLOAT}, which is not a finite number"),
         (lambda r: r["config"].update(battery_capacity=PAST_FLOAT),
-         f"config.battery_capacity is {PAST_FLOAT}, which is past the float range"),
+         f"config.battery_capacity is {PAST_FLOAT}, which is not a number"),
         (_drained(lambda r: r["events"][0].update(pollutant=5)),
          "event 0: unknown pollutant label 5 (expected one of: PM25, PM10, CO, NO2, O3, SO2)"),
         (_drained(lambda r: r["events"][0].update(pollutant="XX")),
@@ -521,6 +567,7 @@ class TestReport:
         (_drained(lambda r: r["events"][0].update(magnitude=1.0)), "event 0: event magnitude must be > 1, got 1.0"),
         (_drained(lambda r: r["events"][0].update(end_round=r["events"][0]["start_round"])),
          "event 0: event window must be non-empty, got [95, 95)"),
+        (lambda r: r["rounds"][0]["selected"].__setitem__(1, 0), "round 0 has selected node 0 twice"),
     ], ids=["zone_of-empty", "energy_cost-short", "zone-out-of-range", "node-out-of-range",
             "feedback-short", "event-zone-out-of-range", "event-negative-start",
             "detected-flags-long", "detect-rounds-short", "flags-false-with-rounds", "flag-true-without-round",
@@ -546,7 +593,7 @@ class TestReport:
             "energy-cost-past-float-range", "final-utility-past-float-range", "final-ucb-mean-nan",
             "max-violation-past-float-range", "event-magnitude-past-float-range",
             "config-capacity-past-float-range", "event-pollutant-int", "event-pollutant-unknown",
-            "event-magnitude-one", "event-window-empty"])
+            "event-magnitude-one", "event-window-empty", "node-selected-twice"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
         record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
         n_selected = len(record["rounds"][0]["selected"])

@@ -36,7 +36,7 @@ from edgesense.engine import (
     sensor_reading,
     write_round_log_csv,
 )
-from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, reward, select_static
+from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, PolicyKind, reward, select_static
 from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
 from oracles import mark_detections, round_log_csv, trend_slope, window_mean
 from test_run_digests import DRAINED, build_traces, run_digest
@@ -685,6 +685,20 @@ class TestPersistence:
         path.write_text(stable_json(record))
         with pytest.raises(ValueError, match="round 0 has"):
             load_run(str(path))
+
+    def test_load_rejects_a_round_that_selects_a_node_twice(self, runs, tiny_cfg):
+        # a forged record whose derived fields are all rebuilt from its ids,
+        # so that only the repeated id is wrong
+        run = runs["adaptive"]
+        assert run.n_selected[0] >= 2
+        selected = run.selected.copy()
+        selected[1] = selected[0]
+        columns = dict(selected=selected, feedback=run.feedback, n_selected=run.n_selected, budget=run.budget)
+        forged = engine._build_run(tiny_cfg, PolicyKind.ADAPTIVE, run.seed, run.trace_hash, run.events, columns,
+                                   run.energy_cost, run.zone_of, np.bincount(selected, minlength=run.n_nodes),
+                                   run.final_utilities, run.final_ucb_means, run.max_budget_violation)
+        with pytest.raises(ValueError, match=f"^round 0 has selected node {selected[0]} twice$"):
+            engine.run_from_dict(forged.to_dict())
 
     def test_load_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bogus.json"

@@ -330,6 +330,14 @@ def _records(cls):
     return st.builds(cls, **{f.name: _field_values(f.name, f.type) for f in fields(cls)})
 
 
+@pytest.mark.parametrize("key", SUMMARY_KEYS.values())
+def test_a_policies_entry_of_a_wrong_json_type_is_named_by_its_entry_and_key(key):
+    record = to_json_dict(compare([flat_run("static", 1, 100.0), flat_run("ucb", 1, 80.0)]))
+    record["policies"][1][key] = [1.0]  # no summary field takes a list
+    with pytest.raises(ValueError, match=rf"^policies entry 1 has {key} \[1\.0\], which is not "):
+        from_json_dict(record)
+
+
 @given(summaries=st.lists(_records(PolicySummary), max_size=4), per_run=st.lists(_records(RunMetrics), max_size=4),
        seeds=st.lists(st.integers(0, 2 ** 64 - 1), max_size=3), trace_hash=st.text(max_size=12))
 def test_the_key_tables_drive_the_json_round_trip_and_the_csv(summaries, per_run, seeds, trace_hash):

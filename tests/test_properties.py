@@ -12,11 +12,13 @@ what a replay of the round logs finds. With one zone, the per-zone budget
 split is the fleet-wide budget. At the edges of a valid config every
 policy runs without a float warning and keeps its budgets finite. A run's
 record loads as that run, and no longer loads once a derived entry is
-swapped for an equal value of another JSON type.
+swapped for an equal value of another JSON type, or an input entry for a
+value of a wrong type or outside its column's range.
 """
 
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -370,3 +372,38 @@ def test_a_derived_entry_of_another_json_type_does_not_load(cfg, data):
             message = str(err.value)
             assert f"has {key} " in message or message.startswith(f"{key} is "), message
             holder[at] = value
+
+
+def input_columns(record):
+    """Each input column of a run record that the loader checks entry by
+    entry, as (key, subject, entries, JSON types, range or None), an entry
+    being (i, holder, index or key) with i what an error names it by: its
+    node or event, or its round for selected, feedback and budget."""
+    cfg, rounds, events = record["config"], record["rounds"], record["events"]
+    n, finite = cfg["n_zones"] * cfg["nodes_per_zone"], (-sys.float_info.max, sys.float_info.max)
+    for key in ("energy_cost", "final_utilities", "final_ucb_means"):
+        bounds = tuple(cfg["energy_cost_range"]) if key == "energy_cost" else finite
+        yield key, "node", [(i, record[key], i) for i in range(n)], {int, float}, bounds
+    for key, types, bounds in (("selected", {int}, (0, n - 1)), ("feedback", {int, float}, (0, 1))):
+        yield key, "round", [(t, r[key], k) for t, r in enumerate(rounds) for k in range(len(r[key]))], types, bounds
+    yield "budget", "round", [(t, r, "budget") for t, r in enumerate(rounds)], {int, float}, (0, finite[1])
+    for key, types, bounds in (("zone_id", {int}, (0, cfg["n_zones"] - 1)), ("start_round", {int}, None),
+                               ("end_round", {int}, None), ("magnitude", {int, float}, finite)):
+        yield key, "event", [(i, e, key) for i, e in enumerate(events)], types, bounds
+
+
+@settings(max_examples=40)
+@given(cfg=st.one_of(fixed_worlds(), budgeted_worlds()), policy=st.sampled_from(POLICY_ORDER), data=st.data())
+def test_a_bad_input_entry_is_named_by_its_place_and_column(cfg, policy, data):
+    record = run_simulation(cfg, fixed_world_traces(cfg), policy).to_dict()
+    key, subject, entries, types, bounds = data.draw(st.sampled_from([c for c in input_columns(record) if c[2]]))
+    i, holder, at = data.draw(st.sampled_from(entries), label=key)
+    bad = ["0.5", True, None, [0.5], math.nan]  # another JSON type, or NaN
+    if bounds is not None:  # past the float range, or just outside the column's range
+        lo, hi = bounds
+        bad += [10 ** 400, *((lo - 1, hi + 1) if types == {int} else
+                             (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)))]
+    holder[at] = data.draw(st.sampled_from(bad), label="value")
+    with pytest.raises(ValueError) as err:
+        engine.run_from_dict(record)
+    assert str(err.value).startswith(f"{subject} {i} has {key} "), str(err.value)
