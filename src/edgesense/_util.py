@@ -8,6 +8,9 @@ import tempfile
 
 import numpy as np
 
+_UMASK = os.umask(0)  # reading the umask sets it, so it is read once and set back
+os.umask(_UMASK)
+
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path atomically, as atomic_write_chunks does."""
@@ -17,13 +20,15 @@ def atomic_write_text(path: str, text: str) -> None:
 def atomic_write_chunks(path: str, chunks) -> None:
     """Write an iterable of strings to path, in order, via a temp file in
     the same directory plus rename, so readers never observe a partial
-    file. An OSError raised on the way names path, not the temp file."""
+    file, with the mode open() gives a new file (mkstemp's is 0600). An
+    OSError raised on the way names path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -71,25 +76,30 @@ def json_place(key: str | None, subject: str | None = None, i: int | None = None
     return f"{subject} {i} has {key}" if key else f"{subject} {i} is"
 
 
-def check_json(values: list, kind: tuple[set, str], key: str | None, subject: str | None = None,
+def check_json(values, kind: tuple[set, str], key: str | None, subject: str | None = None,
                bounds: tuple[float, float] | None = None, at=None):
-    """Return a record's JSON values if each has one of kind's types (by
-    type(), so true is no int) and, with bounds, lies in that closed range as
-    a float (so NaN and an int past the float range do not), then as a
-    float64 array. Else raise ValueError naming the first that fails:
-    "{json_place} {value!r}, which is not {kind's description}", with i its
-    position, or at(position)."""
+    """Return a record's values (JSON values in a list, or a column decoded
+    from bytes: an ndarray, whose dtype is its type) if each has one of
+    kind's types (by type(), so true is no int) and, with bounds, lies in
+    that closed range: a list of ints exactly, other numbers as floats (so
+    NaN and an int past the float range do not), returned as an array. Else
+    raise ValueError naming the first that fails: "{json_place} {value!r},
+    which is not {kind's description}", with i its position, or at(position)."""
     types, what = kind
-    if set(map(type, values)) <= types:
+    column = isinstance(values, np.ndarray)
+    if column or set(map(type, values)) <= types:
         if bounds is None:
             return values
-        try:
-            array = np.array(values, dtype=np.float64)
-        except OverflowError:  # an int past the float range, found below
-            pass
-        else:
-            if ((bounds[0] <= array) & (array <= bounds[1])).all():
+        if column or float in types:
+            try:
+                array = values if column else np.array(values, dtype=np.float64)
+            except OverflowError:  # an int past the float range, found below
+                array = None
+            if array is not None and ((bounds[0] <= array) & (array <= bounds[1])).all():
                 return array
+        elif all(bounds[0] <= value <= bounds[1] for value in values):
+            return values
+    values = values.tolist() if column else values
     i = next(i for i, value in enumerate(values) if not _fits(value, types, bounds))
     raise ValueError(f"{json_place(key, subject, i if at is None else at(i))} {values[i]!r}, which is not {what}")
 
@@ -99,6 +109,6 @@ def _fits(value, types: set, bounds: tuple[float, float] | None) -> bool:
     if type(value) not in types:
         return False
     try:
-        return bounds is None or bounds[0] <= float(value) <= bounds[1]
+        return bounds is None or bounds[0] <= (float(value) if float in types else value) <= bounds[1]
     except OverflowError:
         return False

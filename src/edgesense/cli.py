@@ -288,7 +288,7 @@ def _cmd_report(args) -> int:
                 out = metrics.render_summary_csv(comp)
             else:
                 out = metrics.render_text(comp)
-        elif fmt == engine.RUN_FORMAT:
+        elif fmt in engine.RUN_FORMATS:
             run = engine.run_from_dict(d)
             if args.format == "json":
                 out = stable_json(metrics.to_json_dict(metrics.compare([run])))

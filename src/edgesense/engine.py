@@ -16,6 +16,7 @@ anybody's noise.
 
 from __future__ import annotations
 
+import base64
 import json
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -53,10 +54,13 @@ from .policy import (
 )
 from .trace import EventSpec, TraceError, TraceSet, check_values
 
-RUN_FORMAT = "edgesense-run/1"
-# the run record's per-node lists, each saved under its RunResult field's name
-NODE_FIELDS = ("energy_cost", "zone_of", "final_battery", "activation_counts", "death_round", "final_utilities",
-               "final_ucb_means")
+RUN_FORMAT = "edgesense-run/2"
+RUN_FORMATS = ("edgesense-run/1", RUN_FORMAT)  # the records load_run and report read
+# a record's per-node lists and round columns, each under its RunResult field's name; a column is stored
+# as base64 of its values' little-endian bytes, budget only by a budgeted policy
+NODE_INPUTS = ("energy_cost", "final_utilities", "final_ucb_means")
+COLUMNS = dict(selected=np.dtype("<i4"), feedback=np.dtype("<f8"), n_selected=np.dtype("<i8"), budget=np.dtype("<f8"))
+BUDGETED = (PolicyKind.UCB, PolicyKind.ADAPTIVE)
 
 K_DEVIATION = 1.5            # feedback saturates at this multiple of baseline deviation
 FEEDBACK_SCALE_FLOOR = 1e-6  # keeps the deviation ratio finite for near-zero baselines
@@ -165,31 +169,19 @@ class RunResult:
         return len(self.energy_cost)
 
     def to_dict(self) -> dict:
+        """The run as a RUN_FORMAT record: what _build_run takes, nothing it derives."""
+        budgeted = PolicyKind.from_name(self.policy) in BUDGETED
         return {
             "format": RUN_FORMAT,
             "config": self.config,
             "policy": self.policy,
             "seed": self.seed,
             "trace_hash": self.trace_hash,
-            "total_spent": self.total_spent,
-            "max_budget_violation": self.max_budget_violation,
-            "n_budgeted_selections": self.n_budgeted_selections,
-            **{key: getattr(self, key).tolist() for key in NODE_FIELDS},
             "events": [asdict(ev) for ev in self.events],
-            "event_detected": list(self.event_detected),
-            "event_detect_round": list(self.event_detect_round),
-            "rounds": [
-                {
-                    "round": lg.round_index,
-                    "selected": lg.selected.tolist(),
-                    "spent": lg.spent,
-                    "feedback": lg.feedback.tolist(),
-                    "detected": list(lg.detected_event_ids),
-                    "mean_reward": lg.mean_reward,
-                    "budget": lg.budget_total,
-                }
-                for lg in self.logs
-            ],
+            **{key: getattr(self, key).tolist() for key in NODE_INPUTS},
+            **{key: base64.b64encode(getattr(self, key).astype(dtype, copy=False).tobytes()).decode("ascii")
+               for key, dtype in COLUMNS.items() if budgeted or key != "budget"},
+            **({"max_budget_violation": self.max_budget_violation} if budgeted else {}),
         }
 
 
@@ -548,7 +540,7 @@ def run_simulation(
     obs = ObservationState(cfg.n_zones, cfg.rounds_per_day)
     events = list(traces.events)
 
-    fixed = policy_kind in (PolicyKind.STATIC, PolicyKind.PERIODIC)
+    fixed = policy_kind not in BUDGETED
     block = max(1, min(cfg.rounds_per_day, FIXED_BLOCK_ROWS // n)) if fixed else 1
     record = _Record(cfg.rounds, n)
     with _NoiseSource(seed, n * N_POLLUTANTS, cfg.rounds_per_day, cfg.rounds) as noise:
@@ -582,7 +574,7 @@ def _build_run(cfg: SimConfig, policy_kind: PolicyKind, seed: int, trace_hash: s
         np.maximum.at(death_round, selected[rows], np.searchsorted(np.cumsum(n_selected), rows, side="right"))
     detected, detect_round = _detect_events(selected, columns["feedback"], n_selected, zone_of, events,
                                             cfg.n_zones, cfg.detect_threshold)
-    budgeted = policy_kind in (PolicyKind.UCB, PolicyKind.ADAPTIVE)
+    budgeted = policy_kind in BUDGETED
     return RunResult(
         config=cfg.to_dict(),
         policy=policy_kind.value,
@@ -749,21 +741,29 @@ def save_run(run: RunResult, path: str) -> None:
 
 
 def load_run(path: str) -> RunResult:
-    """Rehydrate a RunResult written by save_run."""
+    """Rehydrate a RunResult written by save_run, in either of RUN_FORMATS."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    if d.get("format") != RUN_FORMAT:
+    if d.get("format") not in RUN_FORMATS:
         raise ValueError(f"unsupported run format {d.get('format')!r} in {path}")
     return run_from_dict(d)
 
 
 def run_from_dict(d: dict) -> RunResult:
-    """Rebuild a RunResult from a parsed RUN_FORMAT record, or raise ValueError:
-    check each input value (check_json), the structure and the config, build
-    the inputs as run_simulation does (_build_run), and require each stored
-    derived field to be the rebuilt run's. Absent learner state is the start state."""
-    nodes = {"energy_cost": d["energy_cost"], **{k: d[k] for k in ("final_utilities", "final_ucb_means") if k in d}}
-    seed, trace_hash, violation = d["seed"], d["trace_hash"], d["max_budget_violation"]
+    """Rebuild a RunResult from a parsed record of RUN_FORMATS, or raise
+    ValueError: check each input value (check_json), the structure and the
+    config; decode the round columns (a /1 record's from its rounds) and
+    check their values alike; build the run as run_simulation does
+    (_build_run) and, for a /1 record, require each stored derived field to
+    be the rebuilt run's. Absent learner state is the start state."""
+    nodes = {"energy_cost": d["energy_cost"], **{k: d[k] for k in NODE_INPUTS[1:] if k in d}}
+    seed, trace_hash, policy = d["seed"], d["trace_hash"], PolicyKind.from_name(d["policy"])
+    v1, budgeted = d["format"] == RUN_FORMATS[0], policy in BUDGETED
+    stored = {"format", "config", "policy", "seed", "trace_hash", "events", *NODE_INPUTS, *COLUMNS,
+              "max_budget_violation"} - (set() if budgeted else {"budget", "max_budget_violation"})
+    if not v1 and (extra := sorted(set(d) - stored)):
+        raise ValueError(f"the record has keys no {policy.value} run stores: {extra}")
+    violation = d["max_budget_violation"] if v1 or budgeted else 0.0
     check_json([seed], json_kind("int"), "seed")
     if problem := seed_problem(seed):
         raise ValueError(problem)
@@ -788,26 +788,30 @@ def run_from_dict(d: dict) -> RunResult:
         nodes[key] = check_json(values, kind, key, "node", (lo, hi) if ranged else _FINITE)
         if len(values) != n:
             raise ValueError(f"{key} has {len(values)} entries, the config has {n} nodes")
-    rounds, raw_events = d["rounds"], d["events"]
-    for key, entries, entry in (("rounds", rounds, "round"), ("events", raw_events, "event")):
-        check_json([entries], json_kind("list"), key)
-        check_json(entries, json_kind("dict"), None, entry)
-    if len(rounds) != cfg.rounds:
-        raise ValueError(f"config.rounds is {cfg.rounds}, the record has {len(rounds)} rounds")
-    id_lists, feedback_lists = (check_json([r[key] for r in rounds], json_kind("list"), key, "round")
-                                for key in ("selected", "feedback"))
-    for t, (round_ids, round_feedback) in enumerate(zip(id_lists, feedback_lists)):
-        if len(round_feedback) != len(round_ids):
-            raise ValueError(f"round {t} has {len(round_feedback)} feedback values for {len(round_ids)} selected nodes")
-    n_selected = np.array(list(map(len, id_lists)), dtype=np.int64)
+    raw_events = d["events"]
+    check_json([raw_events], json_kind("list"), "events")
+    check_json(raw_events, json_kind("dict"), None, "event")
+    if v1:  # the columns from the rounds: flat lists of ids and feedback, counts, budgets
+        rounds = d["rounds"]
+        check_json([rounds], json_kind("list"), "rounds")
+        check_json(rounds, json_kind("dict"), None, "round")
+        id_lists, feedback_lists = (check_json([r[key] for r in rounds], json_kind("list"), key, "round")
+                                    for key in ("selected", "feedback"))
+        for t, (nodes_t, feedback_t) in enumerate(zip(id_lists, feedback_lists)):
+            if len(feedback_t) != len(nodes_t):
+                raise ValueError(f"round {t} has {len(feedback_t)} feedback values for {len(nodes_t)} selected nodes")
+        ids, feedback = list(chain.from_iterable(id_lists)), list(chain.from_iterable(feedback_lists))
+        n_selected, budget = np.array(list(map(len, id_lists)), dtype=np.int64), [r["budget"] for r in rounds]
+    else:
+        ids, feedback, n_selected, budget = _v2_columns(d, n, budgeted)
+    if len(n_selected) != cfg.rounds:
+        raise ValueError(f"config.rounds is {cfg.rounds}, the record has {len(n_selected)} rounds")
     round_of = partial(np.searchsorted, np.cumsum(n_selected), side="right")  # of an entry of the flat columns
-    ids = check_json(list(chain.from_iterable(id_lists)), (_INT, f"a node id in 0..{n - 1}"), "selected", "round",
-                     (0, n - 1), round_of).astype(np.int32)
+    ids = np.asarray(check_json(ids, (_INT, f"a node id in 0..{n - 1}"), "selected", "round", (0, n - 1), round_of),
+                     dtype=np.int32)
     # feedback as feedback_proxy gives it, budgets as select_budgeted takes them
-    feedback = check_json(list(chain.from_iterable(feedback_lists)), (_NUMBER, "a number in [0, 1]"), "feedback",
-                          "round", (0, 1), round_of)
-    budget = check_json([r["budget"] for r in rounds], (_NUMBER, "a finite number >= 0"), "budget", "round",
-                        (0, _FINITE[1]))
+    feedback = check_json(feedback, (_NUMBER, "a number in [0, 1]"), "feedback", "round", (0, 1), round_of)
+    budget = check_json(budget, (_NUMBER, "a finite number >= 0"), "budget", "round", (0, _FINITE[1]))
     keys = np.sort(np.repeat(np.arange(cfg.rounds) * n, n_selected) + ids)  # round * n + id: a repeat is adjacent
     if (twice := keys[1:][keys[1:] == keys[:-1]]).size:
         raise ValueError(f"{json_place('selected', 'round', twice[0] // n)} node {twice[0] % n} twice")
@@ -831,8 +835,10 @@ def run_from_dict(d: dict) -> RunResult:
     utilities, ucb_means = (np.asarray(nodes.get(key, [start] * n), dtype=np.float64)
                             for key, start in (("final_utilities", INITIAL_UTILITY), ("final_ucb_means", 0.0)))
     columns = dict(selected=ids, feedback=feedback, n_selected=n_selected, budget=budget)
-    run = _build_run(cfg, PolicyKind.from_name(d["policy"]), seed, trace_hash, events, columns, nodes["energy_cost"],
+    run = _build_run(cfg, policy, seed, trace_hash, events, columns, nodes["energy_cost"],
                      fleet_zones(cfg).astype(np.int64), counts, utilities, ucb_means, float(violation))
+    if not v1:
+        return run
     detected, no_events = {t: list(ids) for t, ids in _detections_by_round(run.event_detect_round).items()}, []
     per_round = dict(round=list(range(cfg.rounds)), spent=run.spent.tolist(), mean_reward=run.mean_reward.tolist(),
                      budget=run.budget.tolist(), detected=[detected.get(t, no_events) for t in range(cfg.rounds)])
@@ -853,6 +859,27 @@ def run_from_dict(d: dict) -> RunResult:
                                   (None, stored, rebuilt))  # no unequal entry: name the field as a whole
             raise ValueError(f"{json_place(key, subject, idx)} {got!r}, the rebuilt run has {want!r}")
     return run
+
+
+def _v2_columns(d: dict, n: int, budgeted: bool) -> list:
+    """A RUN_FORMAT record's round columns in COLUMNS order, decoded to their
+    values in native byte order and their lengths checked; a fixed schedule's budget is empty."""
+    columns = dict.fromkeys(COLUMNS, np.empty(0))
+    for key, dtype in COLUMNS.items():
+        if budgeted or key != "budget":
+            text = check_json([d[key]], json_kind("str"), key)[0]
+            try:
+                raw = base64.b64decode(text, validate=True)
+            except ValueError as exc:  # binascii.Error, or a character outside ASCII
+                raise ValueError(f"{key} is not base64: {exc}") from None
+            if len(raw) % dtype.itemsize:
+                raise ValueError(f"{key} holds {len(raw)} bytes, not a whole number of {dtype.itemsize}-byte values")
+            columns[key] = np.frombuffer(raw, dtype).astype(dtype.newbyteorder("="))
+    entries = int(check_json(columns["n_selected"], (_INT, f"a count in 0..{n}"), "n_selected", "round", (0, n)).sum())
+    for key, want in (("selected", entries), ("feedback", entries), ("budget", len(columns["n_selected"]) * budgeted)):
+        if len(columns[key]) != want:
+            raise ValueError(f"{key} has {len(columns[key])} entries, n_selected implies {want}")
+    return list(columns.values())
 
 
 def _json_types(values: list) -> set:

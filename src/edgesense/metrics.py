@@ -278,10 +278,10 @@ def to_json_dict(comp: Comparison) -> dict:
 
 def from_json_dict(d: dict) -> Comparison:
     """Rebuild a Comparison's summaries from to_json_dict output, or raise
-    ValueError naming the first field whose JSON type is wrong: the type
+    ValueError naming the first field whose JSON type is wrong (the type
     its PolicySummary annotation names, or null for a lifetime, which
-    reads as inf. per_run is left empty: the text and summary CSV
-    renderers do not read it."""
+    reads as inf), then a seed count below 1 or a seed outside [0, 2**64).
+    per_run is left empty: the text and summary CSV renderers do not read it."""
     check_json([d["policies"]], json_kind("list"), "policies")
     check_json(d["policies"], json_kind("dict"), None, "policies entry")
     for f in fields(PolicySummary):
@@ -289,6 +289,9 @@ def from_json_dict(d: dict) -> Comparison:
         check_json([p[key] for p in d["policies"]], kind, key, "policies entry")
     check_json([d["seeds"]], json_kind("list"), "seeds")
     check_json(d["seeds"], json_kind("int"), None, "seeds entry")
+    ints, key = json_kind("int")[0], SUMMARY_KEYS["n_seeds"]  # then ranges: one seed or more, a seed in 64 bits
+    check_json([p[key] for p in d["policies"]], (ints, "an int >= 1"), key, "policies entry", (1, math.inf))
+    check_json(d["seeds"], (ints, "a seed in [0, 2**64)"), None, "seeds entry", (0, 2 ** 64 - 1))
     check_json([d["trace_hash"]], json_kind("str"), "trace_hash")
     summaries = [PolicySummary(**{name: p[key] for name, key in SUMMARY_KEYS.items()}) for p in d["policies"]]
     for s in summaries:

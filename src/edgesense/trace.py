@@ -214,15 +214,15 @@ def load_csv(path: str, expected_zones: int | None = None) -> TraceSet:
 
 
 def write_csv(traces: TraceSet, path: str) -> None:
-    """Write an hourly TraceSet in the load_csv schema (one row per cell)."""
+    """Write an hourly TraceSet in the load_csv schema (one row per cell, a value as its repr, no field
+    quoted), an hour's cells in zone then pollutant (POLLUTANT_INDEX) order, its timestamp formatted once."""
+    frames = traces.values.reshape(traces.n_rounds, -1).tolist()
+    labels = [f",{zone},{pol.value}," for zone in traces.zone_ids for pol in POLLUTANTS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for hi in range(traces.n_rounds):
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for hi, frame in enumerate(frames):
             ts = (TRACE_EPOCH + timedelta(hours=hi)).strftime("%Y-%m-%dT%H:%M:%SZ")
-            for zi, zone in enumerate(traces.zone_ids):
-                for pol in POLLUTANTS:
-                    writer.writerow([ts, zone, pol.value, repr(float(traces.values[hi, zi, POLLUTANT_INDEX[pol]]))])
+            fh.write("".join([f"{ts}{label}{value!r}\n" for label, value in zip(labels, frame)]))
 
 
 # --- interpolation ----------------------------------------------------------

@@ -5,11 +5,15 @@ dictionary-based trailing window, a point-by-point trend slope, a scalar
 UCB index, a per-event detection replay over the round logs and a
 round-log CSV written row by row through the csv module. When a test
 disagrees with the fast path, the bug should be easy to localize here.
+
+One fixture sits with them: the edgesense-run/1 writer, which the loader
+must keep reading and checking.
 """
 
 import csv
 import io
 import math
+from dataclasses import asdict
 
 
 def naive_budget_selection(candidates, budget, score_floor=0.0):
@@ -107,3 +111,39 @@ def round_log_csv(run):
                      repr(float(run.energy_cost[node])), repr(float(lg.feedback[k]))]
                 )
     return buf.getvalue()
+
+
+# the per-node lists of an edgesense-run/1 record, each under its RunResult field's name
+V1_NODE_FIELDS = ("energy_cost", "zone_of", "final_battery", "activation_counts", "death_round", "final_utilities",
+                  "final_ucb_means")
+
+
+def run_record_v1(run):
+    """A run as an edgesense-run/1 record: its inputs, every derived field
+    and a JSON object per round."""
+    return {
+        "format": "edgesense-run/1",
+        "config": run.config,
+        "policy": run.policy,
+        "seed": run.seed,
+        "trace_hash": run.trace_hash,
+        "total_spent": run.total_spent,
+        "max_budget_violation": run.max_budget_violation,
+        "n_budgeted_selections": run.n_budgeted_selections,
+        **{key: getattr(run, key).tolist() for key in V1_NODE_FIELDS},
+        "events": [asdict(ev) for ev in run.events],
+        "event_detected": list(run.event_detected),
+        "event_detect_round": list(run.event_detect_round),
+        "rounds": [
+            {
+                "round": lg.round_index,
+                "selected": lg.selected.tolist(),
+                "spent": lg.spent,
+                "feedback": lg.feedback.tolist(),
+                "detected": list(lg.detected_event_ids),
+                "mean_reward": lg.mean_reward,
+                "budget": lg.budget_total,
+            }
+            for lg in run.logs
+        ],
+    }

@@ -3,9 +3,12 @@
 Nearly everything here shells out to `python -m edgesense` the way a user
 would, on a small two-zone world, and inspects exit codes, stdout and the
 files left behind. The input gate at the end calls `cli.main` in-process,
-so it can try many settings in a few seconds.
+so it can try many settings in a few seconds. The run records the CLI
+writes are edgesense-run/2; the /1 cases run on the same runs rewritten by
+the /1 writer in oracles.
 """
 
+import base64
 import concurrent.futures
 import contextlib
 import functools
@@ -13,15 +16,19 @@ import io
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import run_record_v1
 
 from edgesense import cli, core, engine, trace
+from edgesense._util import stable_json
 from edgesense.cli import parse_seed_list
 from edgesense.core import Pollutant, load_config
 from edgesense.policy import PolicyKind
@@ -37,9 +44,9 @@ round_minutes = 15
 """
 
 
-def run_cli(*argv, log="quiet"):
+def run_cli(*argv, log="quiet", umask=-1):
     """Run `python -m edgesense` with a RuntimeWarning as an error, as the
-    suite's filterwarnings makes it for in-process code."""
+    suite's filterwarnings makes it for in-process code, under umask if given."""
     env = os.environ.copy()
     if log is None:
         env.pop("EDGESENSE_LOG", None)
@@ -50,6 +57,7 @@ def run_cli(*argv, log="quiet"):
         capture_output=True,
         text=True,
         env=env,
+        umask=umask,
     )
 
 
@@ -107,6 +115,21 @@ def artifacts(cfg_file, tmp_path_factory):
 def _read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def _v1_record(path):
+    """The run saved at path as its edgesense-run/1 record, parsed from its JSON text."""
+    return json.loads(stable_json(run_record_v1(engine.load_run(path))))
+
+
+def _recode(key, change):
+    """An edit of an edgesense-run/2 record's column key: decode it, change
+    the array in place, encode it again."""
+    def edit(record):
+        values = np.frombuffer(base64.b64decode(record[key]), engine.COLUMNS[key]).copy()
+        change(values)
+        record[key] = base64.b64encode(values.tobytes()).decode("ascii")
+    return edit
 
 
 def _drained(edit):
@@ -370,8 +393,9 @@ class TestReport:
     @pytest.mark.parametrize("record, problem", [
         ([1, 2], "malformed record: 'list' object has no attribute 'get'"),
         ({"format": "edgesense-run/1"}, "missing key 'energy_cost'"),
+        ({"format": "edgesense-run/2"}, "missing key 'energy_cost'"),
         ({"format": "edgesense-comparison/1"}, "missing key 'policies'"),
-    ], ids=["not-an-object", "run-without-costs", "comparison-without-policies"])
+    ], ids=["not-an-object", "run-without-costs", "run-v2-without-costs", "comparison-without-policies"])
     def test_malformed_record_exits_two(self, tmp_path, record, problem):
         path = tmp_path / "record.json"
         path.write_text(json.dumps(record))
@@ -394,8 +418,13 @@ class TestReport:
         (lambda d: d.update(policies=5), "policies is 5, which is not a list"),
         (lambda d: d.update(seeds=[1, "2"]), "seeds entry 1 is '2', which is not an int"),
         (lambda d: d.update(trace_hash=5), "trace_hash is 5, which is not a string"),
+        (lambda d: d.update(seeds=[-5, 2 ** 70]), "seeds entry 0 is -5, which is not a seed in [0, 2**64)"),
+        (lambda d: d.update(seeds=[1, 2 ** 64]), f"seeds entry 1 is {2 ** 64}, which is not a seed in [0, 2**64)"),
+        (lambda d: d["policies"][1].update(n_seeds=-3), "policies entry 1 has n_seeds -3, which is not an int >= 1"),
+        (lambda d: d["policies"][0].update(n_seeds=0), "policies entry 0 has n_seeds 0, which is not an int >= 1"),
     ], ids=["detection-rate-bool", "n-seeds-string", "n-seeds-bool", "policy-int", "energy-std-null",
-            "first-death-day-float", "policy-entry-int", "policies-int", "seed-string", "trace-hash-int"])
+            "first-death-day-float", "policy-entry-int", "policies-int", "seed-string", "trace-hash-int",
+            "seeds-outside-64-bits", "seed-two-to-the-64", "n-seeds-negative", "n-seeds-zero"])
     def test_comparison_of_wrong_json_types_exits_two(self, artifacts, tmp_path, edit, problem, fmt):
         record = json.loads(_read(os.path.join(artifacts["cmp_dir"], "summary.json")))
         edit(record)
@@ -595,7 +624,7 @@ class TestReport:
             "config-capacity-past-float-range", "event-pollutant-int", "event-pollutant-unknown",
             "event-magnitude-one", "event-window-empty", "node-selected-twice"])
     def test_inconsistent_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
-        record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
+        record = _v1_record(artifacts[getattr(edit, "record", "run_json")])
         n_selected = len(record["rounds"][0]["selected"])
         assert n_selected > 0
         edit(record)
@@ -604,6 +633,69 @@ class TestReport:
         proc = run_cli("report", "--in", str(path))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {path}: {problem.format(n_selected - 1, n_selected)}"]
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda r: r.update(feedback=r["feedback"][:-4] + "!!!!"),
+         "feedback is not base64: Only base64 data is allowed"),
+        (lambda r: r.update(selected="\u00e9" * 8),
+         "selected is not base64: string argument should contain only ASCII characters"),
+        (lambda r: r.update(selected=base64.b64encode(bytes(6)).decode("ascii")),
+         "selected holds 6 bytes, not a whole number of 4-byte values"),
+        (lambda r: r.update(feedback=[0.5]), "feedback is [0.5], which is not a string"),
+        (_recode("n_selected", lambda v: v.__setitem__(0, v[0] + 1)),
+         "selected has {total} entries, n_selected implies {more}"),
+        (_recode("n_selected", lambda v: v.__setitem__(4, -1)),
+         "round 4 has n_selected -1, which is not a count in 0..6"),
+        (lambda r: r.update(feedback=base64.b64encode(base64.b64decode(r["feedback"]) + bytes(8)).decode("ascii")),
+         "feedback has {more} entries, n_selected implies {total}"),
+        (lambda r: r.update(feedback=base64.b64encode(base64.b64decode(r["feedback"])[8:]).decode("ascii")),
+         "feedback has {fewer} entries, n_selected implies {total}"),
+        (_recode("selected", lambda v: v.__setitem__(0, 6)), "round 0 has selected 6, which is not a node id in 0..5"),
+        (_recode("selected", lambda v: v.__setitem__(0, -1)),
+         "round 0 has selected -1, which is not a node id in 0..5"),
+        (_recode("feedback", lambda v: v.__setitem__(0, np.nan)),
+         "round 0 has feedback nan, which is not a number in [0, 1]"),
+        (_recode("selected", lambda v: v.__setitem__(1, 0)), "round 0 has selected node 0 twice"),
+        (_drained(lambda r: r["config"].update(battery_capacity=100.0)),
+         "node 0 is selected 181 times, more than its battery funds"),
+        (_recode("budget", lambda v: v.__setitem__(2, np.inf)),
+         "round 2 has budget inf, which is not a finite number >= 0"),
+        (lambda r: r.update(budget=base64.b64encode(base64.b64decode(r["budget"])[8:]).decode("ascii")),
+         "budget has 95 entries, n_selected implies 96"),
+        (lambda r: r["config"].update(rounds=95), "config.rounds is 95, the record has 96 rounds"),
+        (_static(lambda r: r.update(budget=r["feedback"])), "the record has keys no static run stores: ['budget']"),
+        (_static(lambda r: r.update(max_budget_violation=0.0)),
+         "the record has keys no static run stores: ['max_budget_violation']"),
+        (lambda r: r.pop("budget"), "missing key 'budget'"),
+        (lambda r: r.pop("max_budget_violation"), "missing key 'max_budget_violation'"),
+        (lambda r: r.update(rounds=[]), "the record has keys no adaptive run stores: ['rounds']"),
+        (lambda r: r.update(volts=3), "the record has keys no adaptive run stores: ['volts']"),
+    ], ids=["bad-base64", "non-ascii", "bytes-not-whole-values", "column-not-a-string", "counts-past-the-ids",
+            "count-negative", "feedback-extra-entry", "feedback-short", "node-out-of-range", "node-negative",
+            "feedback-nan", "node-selected-twice", "over-drawn", "budget-infinite", "budget-short", "config-rounds",
+            "static-budget", "static-max-violation", "budget-missing", "max-violation-missing", "v1-rounds-key",
+            "unknown-key"])
+    def test_corrupt_v2_run_record_exits_two(self, artifacts, tmp_path, edit, problem):
+        record = json.loads(_read(artifacts[getattr(edit, "record", "run_json")]))
+        assert record["format"] == engine.RUN_FORMAT
+        total = len(base64.b64decode(record["selected"])) // 4
+        edit(record)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record))
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        problem = problem.format(total=total, more=total + 1, fewer=total - 1)
+        assert proc.stderr.splitlines() == [f"error: {path}: {problem}"]
+        assert not re.search(r"[A-Za-z0-9+/]{16,}", problem)  # no column's base64 is echoed
+
+    @pytest.mark.parametrize("record", ["run_json", "static_json", "drained_json"])
+    def test_v1_record_reports_as_the_v2_record_does(self, artifacts, tmp_path, record):
+        path = tmp_path / "v1.json"
+        path.write_text(stable_json(_v1_record(artifacts[record])))
+        for fmt in ("text", "json", "csv"):
+            v1, v2 = (run_cli("report", "--in", p, "--format", fmt) for p in (str(path), artifacts[record]))
+            assert v1.returncode == v2.returncode == 0, v1.stderr + v2.stderr
+            assert v1.stdout == v2.stdout
 
     @pytest.mark.parametrize("content, problem", [
         (b"not json\n", "Expecting value: line 1 column 1 (char 0)"),
@@ -615,6 +707,18 @@ class TestReport:
         proc = run_cli("report", "--in", str(path))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {path}: {problem}"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_written_files_take_their_mode_from_the_umask(cfg_file, tmp_path, umask, mode):
+    cmp_dir, run_json, round_log = tmp_path / "cmp", tmp_path / "run.json", tmp_path / "rounds.csv"
+    for argv in (("run", "--policy", "static", "--out", str(run_json), "--round-log", str(round_log)),
+                 ("compare", "--policies", "static", "--seeds", "1", "--out", str(cmp_dir))):
+        proc = run_cli(*argv, "--config", cfg_file, "--synthetic", umask=umask)
+        assert proc.returncode == 0, proc.stderr
+    paths = [run_json, round_log, *cmp_dir.iterdir()]
+    assert len(paths) == 7
+    assert {p.name: oct(p.stat().st_mode & 0o777) for p in paths} == {p.name: oct(mode) for p in paths}
 
 
 class TestFailureModes:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import sys
 import threading
 import warnings
@@ -38,7 +39,7 @@ from edgesense.engine import (
 )
 from edgesense.policy import INITIAL_UTILITY, POLICY_ORDER, PolicyKind, reward, select_static
 from edgesense.trace import EventSpec, TraceError, TraceSet, build_round_trace, generate_synthetic
-from oracles import mark_detections, round_log_csv, trend_slope, window_mean
+from oracles import mark_detections, round_log_csv, run_record_v1, trend_slope, window_mean
 from test_run_digests import DRAINED, build_traces, run_digest
 
 
@@ -652,15 +653,17 @@ def drained_runs():
 
 class TestPersistence:
     def test_save_load_roundtrip(self, runs, drained_runs, tmp_path):
-        path = tmp_path / "run.json"
+        # what save_run writes, and the same run as an edgesense-run/1 record
+        path, v1_path = tmp_path / "run.json", tmp_path / "v1.json"
         for world, world_runs in (("tiny", runs), ("drained", drained_runs)):
-            for policy, run in world_runs.items():
+            for (policy, run), loader in itertools.product(world_runs.items(), ("v2", "v1")):
                 save_run(run, str(path))
-                loaded = load_run(str(path))
+                v1_path.write_text(stable_json(run_record_v1(run)))
+                loaded = load_run(str(path if loader == "v2" else v1_path))
                 assert stable_json(loaded.to_dict()) == stable_json(run.to_dict())
                 for field in dataclasses.fields(RunResult):
                     got, want = getattr(loaded, field.name), getattr(run, field.name)
-                    where = (world, policy, field.name)
+                    where = (world, policy, loader, field.name)
                     if isinstance(want, np.ndarray):
                         assert got.dtype == want.dtype and np.array_equal(got, want), where
                     else:
@@ -679,7 +682,7 @@ class TestPersistence:
         assert np.all(loaded.final_ucb_means == 0.0)
 
     def test_load_rejects_a_record_that_contradicts_itself(self, runs, tmp_path):
-        record = runs["ucb"].to_dict()
+        record = run_record_v1(runs["ucb"])
         record["rounds"][0]["feedback"].append(0.5)
         path = tmp_path / "run.json"
         path.write_text(stable_json(record))

@@ -317,11 +317,12 @@ class TestRenderers:
 
 def _field_values(name, annotation):
     """Values of a field of this annotation: finite floats, None where it is
-    nullable, and an infinite lifetime too."""
+    nullable, and an infinite lifetime too; a seed count is at least one."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     if name == "lifetime":
         return finite | st.just(math.inf)
-    values = {"str": st.text(max_size=6), "int": st.integers(-10 ** 6, 10 ** 6), "float": finite}
+    ints = st.integers(1 if name == "n_seeds" else -10 ** 6, 10 ** 6)
+    values = {"str": st.text(max_size=6), "int": ints, "float": finite}
     base = annotation.removesuffix(" | None")
     return values[base] | st.none() if base != annotation else values[base]
 

@@ -11,22 +11,27 @@ static's feedback is the trace's alone, whatever the run seed. Detection is
 what a replay of the round logs finds. With one zone, the per-zone budget
 split is the fleet-wide budget. At the edges of a valid config every
 policy runs without a float warning and keeps its budgets finite. A run's
-record loads as that run, and no longer loads once a derived entry is
-swapped for an equal value of another JSON type, or an input entry for a
-value of a wrong type or outside its column's range.
+record loads as that run and saves again as the same bytes. Its
+edgesense-run/1 record no longer loads once a derived entry is swapped for
+an equal value of another JSON type, and neither record loads once an
+input entry is swapped for a value of a wrong type or outside its
+column's range.
 """
 
+import base64
 import dataclasses
 import math
+import os
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import mark_detections
+from oracles import mark_detections, run_record_v1
 from test_run_digests import run_digest
 
 from edgesense import engine
@@ -315,17 +320,28 @@ def test_with_one_zone_the_split_is_the_fleet_budget(cfg, policy):
 @given(cfg=st.one_of(fixed_worlds(), budgeted_worlds()))
 def test_a_record_loads_as_the_run_it_was_saved_from(cfg):
     # deaths inside fixed blocks, budgeted rounds that select nobody, the
-    # split on and off: the loader rebuilds every field bit for bit
+    # split on and off: the loader rebuilds every field bit for bit, from
+    # what save_run writes and from the /1 record, and the run saves again
+    # as the bytes it was loaded from
     traces = fixed_world_traces(cfg)
-    for policy in POLICY_ORDER:
-        run = run_simulation(cfg, traces, policy)
-        loaded = engine.run_from_dict(run.to_dict())
-        for field in dataclasses.fields(RunResult):
-            got, want = getattr(loaded, field.name), getattr(run, field.name)
-            if isinstance(want, np.ndarray):
-                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
-            else:
-                assert repr(got) == repr(want), field.name
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "run.json")
+        for policy in POLICY_ORDER:
+            run = run_simulation(cfg, traces, policy)
+            engine.save_run(run, path)
+            with open(path, "rb") as fh:
+                saved = fh.read()
+            for loaded in (engine.load_run(path), engine.run_from_dict(run_record_v1(run))):
+                for field in dataclasses.fields(RunResult):
+                    got, want = getattr(loaded, field.name), getattr(run, field.name)
+                    if isinstance(want, np.ndarray):
+                        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), \
+                            field.name
+                    else:
+                        assert repr(got) == repr(want), field.name
+                engine.save_run(loaded, path)
+                with open(path, "rb") as fh:
+                    assert fh.read() == saved, policy
 
 
 def retyped(value):
@@ -357,7 +373,7 @@ def test_a_derived_entry_of_another_json_type_does_not_load(cfg, data):
     cfg = cfg.replace(energy_cost_range=(1.0, 1.0), alpha=0.0, beta=1.0)
     traces = fixed_world_traces(cfg)
     for policy in POLICY_ORDER:
-        record = run_simulation(cfg, traces, policy).to_dict()
+        record = run_record_v1(run_simulation(cfg, traces, policy))
         slots = {}
         for key, holder, at in derived_entries(record):
             if retyped(holder[at]) is not None:
@@ -375,7 +391,7 @@ def test_a_derived_entry_of_another_json_type_does_not_load(cfg, data):
 
 
 def input_columns(record):
-    """Each input column of a run record that the loader checks entry by
+    """Each input column of a /1 run record that the loader checks entry by
     entry, as (key, subject, entries, JSON types, range or None), an entry
     being (i, holder, index or key) with i what an error names it by: its
     node or event, or its round for selected, feedback and budget."""
@@ -395,7 +411,7 @@ def input_columns(record):
 @settings(max_examples=40)
 @given(cfg=st.one_of(fixed_worlds(), budgeted_worlds()), policy=st.sampled_from(POLICY_ORDER), data=st.data())
 def test_a_bad_input_entry_is_named_by_its_place_and_column(cfg, policy, data):
-    record = run_simulation(cfg, fixed_world_traces(cfg), policy).to_dict()
+    record = run_record_v1(run_simulation(cfg, fixed_world_traces(cfg), policy))
     key, subject, entries, types, bounds = data.draw(st.sampled_from([c for c in input_columns(record) if c[2]]))
     i, holder, at = data.draw(st.sampled_from(entries), label=key)
     bad = ["0.5", True, None, [0.5], math.nan]  # another JSON type, or NaN
@@ -407,3 +423,33 @@ def test_a_bad_input_entry_is_named_by_its_place_and_column(cfg, policy, data):
     with pytest.raises(ValueError) as err:
         engine.run_from_dict(record)
     assert str(err.value).startswith(f"{subject} {i} has {key} "), str(err.value)
+
+
+@settings(max_examples=40)
+@given(cfg=st.one_of(fixed_worlds(), budgeted_worlds()), policy=st.sampled_from(POLICY_ORDER), data=st.data())
+def test_a_bad_column_entry_is_named_as_in_the_v1_record(cfg, policy, data):
+    # the decoded columns of a /2 record go through the checks a /1 record's
+    # rounds do: a value outside its column's range fails with the message
+    # the same value fails with in the /1 record
+    run = run_simulation(cfg, fixed_world_traces(cfg), policy)
+    record, v1 = run.to_dict(), run_record_v1(run)
+    bad = {"selected": [-1, cfg.n_zones * cfg.nodes_per_zone], "budget": [math.nan, math.inf, -5e-324],
+           "feedback": [math.nan, -math.inf, math.nextafter(1.0, 2.0)]}
+    keys = [key for key in bad if key in record and len(record[key])]
+    assume(keys)  # a fixed schedule that selects nobody stores no entry to spoil
+    key = data.draw(st.sampled_from(keys))
+    values = np.frombuffer(base64.b64decode(record[key]), engine.COLUMNS[key]).copy()
+    at = data.draw(st.integers(0, len(values) - 1), label="entry")
+    values[at] = data.draw(st.sampled_from(bad[key]), label="value")
+    record[key] = base64.b64encode(values.tobytes()).decode("ascii")
+    t = at if key == "budget" else int(np.searchsorted(np.cumsum(run.n_selected), at, side="right"))
+    if key == "budget":
+        v1["rounds"][t]["budget"] = values[at].item()
+    else:
+        v1["rounds"][t][key][at - int(run.n_selected[:t].sum())] = values[at].item()
+    messages = []
+    for spoilt in (record, v1):
+        with pytest.raises(ValueError) as err:
+            engine.run_from_dict(spoilt)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and messages[0].startswith(f"round {t} has {key} "), messages

@@ -14,8 +14,9 @@ kernel. Its digests were recorded while every fleet size took the
 per-candidate scan.
 
 The record pins hash the bytes a drained run is saved as: its run record
-JSON and its round-log CSV. The digests above hash what a run decides; these
-also catch a change in how the record spells it.
+JSON, both as the edgesense-run/1 writer (oracles.run_record_v1) spelled it
+and as save_run writes it, and its round-log CSV. The digests above hash
+what a run decides; these also catch a change in how the record spells it.
 
 The full world gives every node the same cost and the fleet a budget that
 funds all of them, so budgeted runs admit every node in every round, in
@@ -28,10 +29,11 @@ import os
 
 import numpy as np
 import pytest
+from oracles import run_record_v1
 
 from edgesense._util import stable_json
 from edgesense.core import SimConfig
-from edgesense.engine import TREND_WINDOW, run_simulation, write_round_log_csv
+from edgesense.engine import TREND_WINDOW, run_simulation, save_run, write_round_log_csv
 from edgesense.policy import WIDE_FLEET
 from edgesense.trace import build_round_trace, draw_events, generate_synthetic
 
@@ -48,15 +50,19 @@ GOLDEN = {
     ("adaptive", False): "844872da97dd6c28510eb1130c41a997ef2ded331de7adf88d65753b533901e5",
 }
 
-# sha256 of (stable_json(run.to_dict()), the write_round_log_csv file)
+# sha256 of (the /1 record's stable JSON, the save_run file, the write_round_log_csv file)
 RECORD_BYTES = {
     "static": ("6021b6053fad37db37279a9f94b4331bada0617cb8d829f16330487f8411bb62",
+               "2638cf09ee4ff81e7bc3fd52b3b45b76c5fd1ee8abe28cc3ff86b45a0a138573",
                "c8875d3f87de817fb3e13fb11a4f32ca7da28dc084b9ed05b166afc155c9bd21"),
     "periodic": ("9b07e88da9961c126152f2410010a90a762a9ba1e959b48f0bb57cafa1415917",
+                 "876062c5b8c7ff2bbeaa56eef37f950cbc5b05306c266945337d2755e5a3ed44",
                  "9160b733f1512857baeba94030e0bdd061138ec1506e72da090b790c014e5fb7"),
     "ucb": ("e5364a749fc648f060876a68a7cd7a5c10ba7f550910cc7744586d5bf755e682",
+            "c77e6e2eeae2897f06471484fc008eccfde0aad6315e03104f57effaf4eabb65",
             "d46bd69cb72772a084869c927a34ee772a431a8ac86cabf30b5ddcd5dd60226f"),
     "adaptive": ("b787cb7513312313f69a03c19469648bbba2829c75d1796d5d7a0eed7cd0858d",
+                 "a5eac70ca6c23562776e51f0dd0af70277aa08e83bdf9fe9bad2572931decd25",
                  "99d8170727bdfdee28de11aa5e17f93d5d60ba7847907334284723166f8ac286"),
 }
 
@@ -150,12 +156,13 @@ def test_wide_world_reproduces_the_recorded_run(wide_traces, policy, hierarchy):
 @pytest.mark.parametrize("policy", list(RECORD_BYTES))
 def test_drained_world_saves_the_recorded_bytes(drained_traces, tmp_path, policy):
     run = run_simulation(DRAINED, drained_traces, policy)
-    path = os.path.join(tmp_path, "rounds.csv")
-    write_round_log_csv(run, path)
-    with open(path, "rb") as fh:
-        csv_bytes = fh.read()
-    assert (hashlib.sha256(stable_json(run.to_dict()).encode()).hexdigest(),
-            hashlib.sha256(csv_bytes).hexdigest()) == RECORD_BYTES[policy]
+    record, round_log = os.path.join(tmp_path, "run.json"), os.path.join(tmp_path, "rounds.csv")
+    save_run(run, record)
+    write_round_log_csv(run, round_log)
+    with open(record, "rb") as fh, open(round_log, "rb") as log:
+        saved = fh.read(), log.read()
+    assert (hashlib.sha256(stable_json(run_record_v1(run)).encode()).hexdigest(),
+            *(hashlib.sha256(content).hexdigest() for content in saved)) == RECORD_BYTES[policy]
 
 
 @pytest.mark.parametrize("policy", list(FULL_GOLDEN))

@@ -1,5 +1,7 @@
 """Trace synthesis, CSV round trips, interpolation, and event injection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,23 @@ class TestCsvRoundTrip:
         loaded = load_csv(str(path), expected_zones=3)
         assert loaded.zone_ids == hourly.zone_ids
         assert np.array_equal(loaded.values, hourly.values)
+
+    @pytest.mark.parametrize("world, zone_ids, digest", [
+        ({"n_zones": 10, "nodes_per_zone": 20, "rounds": 2880},
+         None, "bf91dfcec7c401153a7fb14cb264bd567f53457fe092e1437ea3f5cd79474f27"),
+        ({"n_zones": 2, "nodes_per_zone": 2, "rounds": 96},
+         None, "aefa46e48f9e824524aa4020ac243dd213f6d7757ee236e35a55a0aedd43aa25"),
+        ({"n_zones": 2, "nodes_per_zone": 2, "rounds": 96},
+         (5, 9), "7551e2e090d6c92b1e8a331203f22b78d5475d64af5735f65f04d36a87514d8f"),
+    ], ids=["replay-world", "two-by-two", "two-by-two-relabelled"])
+    def test_writes_the_recorded_bytes(self, tmp_path, world, zone_ids, digest):
+        # sha256 of the file the csv.writer version wrote, one writerow per cell
+        hourly = generate_synthetic(SimConfig(seed=1, **world), rng_seed=1)
+        if zone_ids is not None:
+            hourly = TraceSet(values=hourly.values, zone_ids=zone_ids)
+        path = tmp_path / "trace.csv"
+        write_csv(hourly, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_zone_count_mismatch(self, tmp_path):
         path = tmp_path / "trace.csv"
